@@ -19,23 +19,6 @@ import (
 	"synpa/internal/predcache"
 )
 
-// invertMemo is the inversion-cache surface the placement path needs; both
-// the private predcache.InvertCache and a shared-cache InvertView satisfy
-// it. Interface dispatch selects the storage, never the values: with
-// Quantum 0 both are exact-key memos of the same pure function.
-type invertMemo interface {
-	Get(a, b []float64, fn predcache.InvertFn) ([]float64, []float64, bool)
-	Stats() predcache.Stats
-	Entries() int
-}
-
-// pairMemo is the pair-degradation analogue of invertMemo.
-type pairMemo interface {
-	Get(a, b []float64, fn predcache.PairFn) float64
-	Stats() predcache.Stats
-	Entries() int
-}
-
 // Arena is the per-request mutable state of one placement stream: scratch
 // matrices, the cross-quantum smoothing history, and this stream's cache
 // handles. An Arena is NOT safe for concurrent use — the concurrency model
@@ -73,25 +56,27 @@ type Arena struct {
 	meanBuf []float64
 	filled  []bool
 	frac    [][]float64
+	// load is fullyPlaced's reusable per-core occupancy count.
+	load []int
 
 	// mws is the Blossom matcher's reusable working memory: the solver's
 	// O(n²) edge matrix is the dominant per-decision allocation, and
 	// recycling it is bit-identical (matching.Workspace).
 	mws matching.Workspace
 
-	// The interference-prediction memo handles: private caches, or views
-	// onto the policy's shared cache.
-	inv  invertMemo
-	pair pairMemo
+	// The interference-prediction memo handles: onto private one-shard
+	// memos, or onto the policy's shared memos.
+	inv  *predcache.Handle[predcache.Inversion]
+	pair *predcache.Handle[float64]
 	// mch memoizes whole Blossom matchings by the weight matrix's bit
-	// pattern. Always private (see predcache.MatchCache), and disabled
-	// together with the other memos.
-	mch *predcache.MatchCache
+	// pattern. Always private — matchings are machine-local decisions
+	// keyed by full matrices, so sharing would buy little and cost shard
+	// lock traffic — and disabled together with the other memos.
+	mch *predcache.Handle[[]int]
 }
 
-// NewArena builds a fresh request arena: private caches when the policy
-// has no shared cache installed, per-request views onto the shared cache
-// otherwise.
+// NewArena builds a fresh request arena: private memos when the policy has
+// no shared cache installed, handles onto the shared memos otherwise.
 func (p *Policy) NewArena() *Arena {
 	a := &Arena{}
 	p.initArena(a)
@@ -99,17 +84,16 @@ func (p *Policy) NewArena() *Arena {
 }
 
 func (p *Policy) initArena(a *Arena) {
-	a.mch = predcache.NewMatch(p.opt.Cache)
-	if p.shared != nil {
-		a.inv = p.shared.InvertView()
-		a.pair = p.shared.PairView()
-		return
+	memos := p.shared
+	if memos == nil {
+		memos = predcache.NewShared(p.opt.Cache, 1) // private: one shard, no hashing
 	}
-	a.inv = predcache.NewInvert(p.opt.Cache)
-	a.pair = predcache.NewPair(p.opt.Cache)
+	a.inv = memos.Invert().Handle()
+	a.pair = memos.Pair().Handle()
+	a.mch = predcache.NewMemo[[]int](p.opt.Cache, 1).Handle()
 }
 
-// CacheStats returns the arena's own memo traffic (its view-local counts
+// CacheStats returns the arena's own memo traffic (its handle-local counts
 // when backed by a shared cache).
 func (a *Arena) CacheStats() (invert, pair predcache.Stats) {
 	return a.inv.Stats(), a.pair.Stats()
@@ -160,9 +144,6 @@ func (p *Policy) SharedCache() *predcache.Shared { return p.shared }
 // caches (the whole shared cache's when one is installed — entries are
 // global there by design).
 func (p *Policy) CacheEntries() (invert, pair int) {
-	if p.shared != nil {
-		return p.shared.Entries()
-	}
 	return p.def.inv.Entries(), p.def.pair.Entries()
 }
 

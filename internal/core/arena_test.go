@@ -130,50 +130,81 @@ func TestConcurrentPlaceRBitIdentical(t *testing.T) {
 	}
 }
 
-func TestInvertBatch(t *testing.T) {
+func TestArenaResetPoolReuse(t *testing.T) {
+	const quanta, apps, cores = 10, 8, 4
 	m := PaperCoefficients()
 	p := MustPolicy(m, PolicyOptions{})
+
+	run := func(a *Arena) []machine.Placement {
+		return drivePlacements(func(st *machine.QuantumState) machine.Placement {
+			return p.PlaceR(a, st)
+		}, quanta, apps, cores)
+	}
+
 	a := p.NewArena()
-	fi := ThreeCategoryFractions(sampleWith(10000, 4000, 500, 8000), 4)
-	fj := ThreeCategoryFractions(sampleWith(10000, 4000, 8000, 500), 4)
-
-	reqs := []InvertRequest{{fi, fj}, {fj, fi}, {fi, fj}}
-	res := p.InvertBatch(a, reqs)
-	if len(res) != 3 {
-		t.Fatalf("got %d results", len(res))
-	}
-	ci, cj, conv := m.Invert(fi, fj, DefaultInversion())
-	if res[0].Converged != conv ||
-		!reflect.DeepEqual(res[0].CI, ci) || !reflect.DeepEqual(res[0].CJ, cj) {
-		t.Fatalf("batched inversion diverged from direct Invert:\n got %v %v\nwant %v %v",
-			res[0].CI, res[0].CJ, ci, cj)
-	}
-	if !reflect.DeepEqual(res[2].CI, res[0].CI) {
-		t.Fatal("duplicate request returned a different result")
-	}
-	inv, _ := a.CacheStats()
-	if inv.Misses != 2 || inv.Hits != 1 {
-		t.Fatalf("batch dedup broken: %+v, want 2 misses 1 hit", inv)
+	first := run(a)
+	if len(a.LastSTEstimates()) == 0 {
+		t.Fatal("run left no smoothing history — Reset has nothing to prove")
 	}
 
-	// Results are caller-owned copies, not cache-owned slices.
-	res[0].CI[0] = 42
-	again := p.InvertBatch(a, reqs[:1])
-	if again[0].CI[0] == 42 {
-		t.Fatal("mutating a batch result corrupted the cache")
+	// Reset must clear the cross-request state (smoothing history) while
+	// keeping the memo: the reused arena replays the exact reference
+	// stream, as if freshly allocated.
+	a.Reset()
+	if len(a.LastSTEstimates()) != 0 {
+		t.Fatal("Reset kept smoothing history")
+	}
+	inv0, _ := a.CacheStats()
+	if inv0.Hits+inv0.Misses == 0 {
+		t.Fatal("Reset dropped the memo — pooling would lose all warmth")
+	}
+	if second := run(a); !reflect.DeepEqual(second, first) {
+		t.Fatalf("pooled (Reset) arena diverged from its own fresh run:\n got %v\nwant %v", second, first)
 	}
 
-	// A batch through one arena warms the shared cache for every other.
-	ps := MustPolicy(m, PolicyOptions{})
-	ps.SetSharedCache(predcache.NewShared(predcache.Options{}, 4))
-	a1, a2 := ps.NewArena(), ps.NewArena()
-	ps.InvertBatch(a1, reqs)
-	ps.InvertBatch(a2, reqs[:1])
-	if inv2, _ := a2.CacheStats(); inv2.Hits != 1 || inv2.Misses != 0 {
-		t.Fatalf("shared cache not warmed coherently by batch: %+v", inv2)
+	// And against a genuinely fresh arena, for the same stream.
+	if fresh := run(p.NewArena()); !reflect.DeepEqual(fresh, first) {
+		t.Fatalf("fresh arena diverged from pooled arena")
 	}
+}
 
-	if got := p.InvertBatch(a, nil); got != nil {
-		t.Fatalf("empty batch returned %v", got)
+// warmPlaceRAllocs pins the allocations of one warm SMT2 PlaceR decision
+// whose inversions, pair predictions and matching all hit their memos. The
+// memo hits themselves allocate nothing; the count is the placement
+// building around them, and it must not grow.
+const warmPlaceRAllocs = 10
+
+func TestWarmPlaceRAllocs(t *testing.T) {
+	const apps, cores = 8, 4
+	st := &machine.QuantumState{
+		NumApps: apps, NumCores: cores, DispatchWidth: 4,
+		Prev:    machine.Placement{0, 0, 1, 1, 2, 2, 3, 3},
+		Samples: make([]pmu.Counters, apps),
+	}
+	for i := range st.Samples {
+		fe := uint64(500 + 900*((i*13)%8))
+		st.Samples[i] = sampleWith(10000, 4000, fe, 8500-fe)
+	}
+	for _, shared := range []bool{false, true} {
+		p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+		if shared {
+			p.SetSharedCache(predcache.NewShared(predcache.Options{}, 0))
+		}
+		a := p.NewArena()
+		place := func() { a.Reset(); p.PlaceR(a, st) }
+		place()
+		inv0, pair0 := a.CacheStats()
+		match0 := a.MatchStats()
+		const runs = 50
+		got := testing.AllocsPerRun(runs, place)
+		inv1, pair1 := a.CacheStats()
+		match1 := a.MatchStats()
+		if inv1.Misses != inv0.Misses || pair1.Misses != pair0.Misses || match1.Misses != match0.Misses ||
+			match1.Hits-match0.Hits < runs {
+			t.Fatalf("shared=%v: not the all-hit path: invert %+v pair %+v match %+v", shared, inv1, pair1, match1)
+		}
+		if got > warmPlaceRAllocs {
+			t.Errorf("shared=%v: warm PlaceR allocates %v times per decision, want at most %d", shared, got, warmPlaceRAllocs)
+		}
 	}
 }

@@ -8,8 +8,8 @@ package core
 // is the sum of its members' pairwise predicted degradations, and
 // internal/grouping minimises the total over all core groups. At SMT2 the
 // subsystem delegates to the same blossom matcher as the classic path, so
-// ForceGrouping reproduces the pairwise placements exactly (differential
-// test in grouped_test.go).
+// placeGrouped at level 2 reproduces the pairwise placements exactly
+// (differential test in grouped_test.go).
 
 import (
 	"math"
@@ -19,9 +19,9 @@ import (
 	"synpa/internal/perfstat"
 )
 
-// placeGrouped is PlaceR for machines running level (> 2, or 2 under
-// ForceGrouping) hardware threads per core; all scratch comes from the
-// caller's arena.
+// placeGrouped is PlaceR for machines running level hardware threads per
+// core (any level but 2; level 2 only in the differential test); all
+// scratch comes from the caller's arena.
 func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) machine.Placement {
 	if st.Samples == nil || st.Prev == nil {
 		return arrivalOrderPlacement(st.NumApps, st.NumCores)
@@ -82,8 +82,7 @@ func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) mac
 						mean[k] /= float64(others)
 					}
 				}
-				ci, _, _ := a.inv.Get(frac[i], mean, p.invertFn)
-				copy(est[i], ci)
+				copy(est[i], a.inv.Get(frac[i], mean, p.invertFn).A)
 				filled[i] = true
 			}
 		}
@@ -121,7 +120,7 @@ func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) mac
 		// does, keep the previous placement rather than crash the manager
 		// (only if every app already has a core — under dynamic occupancy
 		// a fresh arrival does not).
-		if fullyPlaced(st.Prev, st.NumCores) {
+		if a.fullyPlaced(st.Prev, st.NumCores, level) {
 			return st.Prev.Clone()
 		}
 		return arrivalOrderPlacement(n, st.NumCores)
@@ -130,7 +129,7 @@ func (p *Policy) placeGrouped(a *Arena, st *machine.QuantumState, level int) mac
 	// Hysteresis over groups: only migrate when the predicted gain is
 	// material, evaluating the previous grouping under the same matrix and
 	// the same solo-cost scale Partition priced the new one with.
-	if p.opt.Hysteresis > 0 && fullyPlaced(st.Prev, st.NumCores) {
+	if p.opt.Hysteresis > 0 && a.fullyPlaced(st.Prev, st.NumCores, level) {
 		prevCost := grouping.PartitionCost(w, groups, p.opt.Grouping.ResolvedSoloCost())
 		if prevCost-res.Cost < p.opt.Hysteresis*prevCost {
 			return st.Prev.Clone()

@@ -26,15 +26,16 @@ func randSamples(rng *xrand.RNG, n int) []pmu.Counters {
 
 // TestForceGroupingMatchesPairwise is the SMT2 regression differential of
 // the grouping subsystem: across multi-quantum sequences of random samples,
-// the policy routed through grouping.Partition (ForceGrouping) must produce
-// exactly the placements of the classic blossom-matching path, quantum for
-// quantum — grouping at L = 2 reproduces blossom placements.
+// the policy routed through grouping.Partition (placeGrouped at level 2)
+// must produce exactly the placements of the classic blossom-matching path,
+// quantum for quantum — grouping at L = 2 reproduces blossom placements.
 func TestForceGroupingMatchesPairwise(t *testing.T) {
 	for _, n := range []int{5, 7, 8} { // odd counts exercise solo groups
 		for seed := uint64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
 				pair := MustPolicy(PaperCoefficients(), PolicyOptions{})
-				grp := MustPolicy(PaperCoefficients(), PolicyOptions{ForceGrouping: true})
+				grp := MustPolicy(PaperCoefficients(), PolicyOptions{})
+				ga := grp.NewArena()
 				rng := xrand.New(seed)
 				var prevPair, prevGrp machine.Placement
 				var samples []pmu.Counters
@@ -48,7 +49,7 @@ func TestForceGroupingMatchesPairwise(t *testing.T) {
 						Prev: prevGrp, Samples: samples,
 					}
 					pp := pair.Place(stPair)
-					gp := grp.Place(stGrp)
+					gp := grp.placeGrouped(ga, stGrp, 2)
 					if !reflect.DeepEqual(pp, gp) {
 						t.Fatalf("quantum %d: pairwise %v != grouped %v", q, pp, gp)
 					}

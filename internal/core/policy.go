@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"math"
-	"os"
 
 	"synpa/internal/grouping"
 	"synpa/internal/machine"
@@ -73,18 +72,11 @@ type PolicyOptions struct {
 	// gives the production defaults (exact for small live sets, greedy +
 	// local search beyond).
 	Grouping grouping.Options
-	// ForceGrouping routes Step 3 through the grouping subsystem even at
-	// SMT2, where the policy normally keeps its original blossom-matching
-	// path. The two agree by construction (grouping delegates to the same
-	// matcher at level 2); the option exists for differential tests and
-	// solver ablations.
-	ForceGrouping bool
 	// Cache configures the interference-prediction memo layer
 	// (internal/predcache) behind the policy's Invert and PairDegradation
 	// evaluations. The zero value enables exact-key caching, which is
 	// bit-identical to uncached evaluation by construction; set
-	// Cache.Disabled — or the SYNPA_PREDCACHE=0 environment variable — to
-	// evaluate the model directly every quantum.
+	// Cache.Disabled to evaluate the model directly every quantum.
 	Cache predcache.Options
 	// Name overrides the policy name in experiment output.
 	Name string
@@ -105,8 +97,8 @@ type Policy struct {
 	opt   PolicyOptions
 
 	// The memoized model evaluations (read-only closures over model+opt).
-	invertFn predcache.InvertFn
-	pairFn   predcache.PairFn
+	invertFn func(a, b []float64) predcache.Inversion
+	pairFn   func(a, b []float64) float64
 
 	// shared is the optional concurrent memo behind every arena; nil
 	// means each arena owns private caches (the classic configuration).
@@ -151,16 +143,10 @@ func NewPolicy(m *Model, opt PolicyOptions) (*Policy, error) {
 	case opt.Hysteresis >= 1:
 		return nil, fmt.Errorf("core: hysteresis %v must be below 1", opt.Hysteresis)
 	}
-	// The cache is an exact bit-pattern-keyed memo: disabling it changes
-	// wall time, never a result bit, so the escape hatch cannot perturb
-	// any observable output.
-	//synpa:lint-allow nondet cache bypass is bit-identical by construction (exact-key memo)
-	if os.Getenv("SYNPA_PREDCACHE") == "0" {
-		opt.Cache.Disabled = true
-	}
 	p := &Policy{model: m, opt: opt}
-	p.invertFn = func(a, b []float64) ([]float64, []float64, bool) {
-		return p.model.Invert(a, b, p.opt.Inversion)
+	p.invertFn = func(a, b []float64) predcache.Inversion {
+		ca, cb, ok := p.model.Invert(a, b, p.opt.Inversion)
+		return predcache.Inversion{A: ca, B: cb, Converged: ok}
 	}
 	p.pairFn = p.model.PairDegradation
 	p.initArena(&p.def)
@@ -212,14 +198,14 @@ func (p *Policy) Place(st *machine.QuantumState) machine.Placement {
 // the caller's arena, so any number of goroutines may call PlaceR on one
 // policy concurrently as long as each holds its own Arena. At SMT2 it runs
 // the paper's pipeline — pairwise inversion, pair-degradation prediction,
-// blossom matching; above SMT2 (or under ForceGrouping) Step 3 becomes the
-// weighted set-partition of the follow-up policies, solved by
-// internal/grouping over the same pairwise degradation matrix.
+// blossom matching; above SMT2 Step 3 becomes the weighted set-partition
+// of the follow-up policies, solved by internal/grouping over the same
+// pairwise degradation matrix.
 func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 	// Any level other than 2 routes through grouping: above 2 it solves
 	// the set partition, and at 1 it degenerates to forced singletons
 	// (the pairwise matcher could illegally co-locate two apps there).
-	if level := st.ThreadsPerCore(); level != 2 || p.opt.ForceGrouping {
+	if level := st.ThreadsPerCore(); level != 2 {
 		return p.placeGrouped(a, st, level)
 	}
 	if st.Samples == nil || st.Prev == nil {
@@ -252,9 +238,9 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 			continue
 		}
 		fj := p.opt.Extract(st.Samples[mate], st.DispatchWidth)
-		ci, cj, _ := a.inv.Get(fi, fj, p.invertFn)
-		copy(est[i], ci)
-		copy(est[mate], cj)
+		inv := a.inv.Get(fi, fj, p.invertFn)
+		copy(est[i], inv.A)
+		copy(est[mate], inv.B)
 	}
 	p.smoothAndRemember(a, st, est)
 
@@ -289,14 +275,14 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		// does, keep the previous placement rather than crash the
 		// manager (only if every app already has a core — under dynamic
 		// occupancy a fresh arrival does not).
-		if fullyPlaced(st.Prev, st.NumCores) {
+		if a.fullyPlaced(st.Prev, st.NumCores, 2) {
 			return st.Prev.Clone()
 		}
 		return arrivalOrderPlacement(n, st.NumCores)
 	}
 
 	// Hysteresis: only migrate when the predicted gain is material.
-	if p.opt.Hysteresis > 0 && fullyPlaced(st.Prev, st.NumCores) {
+	if p.opt.Hysteresis > 0 && a.fullyPlaced(st.Prev, st.NumCores, 2) {
 		prevCost, ok := pairingCost(w, a.mates, n)
 		if ok {
 			newCost := 0.0
@@ -346,11 +332,21 @@ func appID(st *machine.QuantumState, i int) int {
 	return i
 }
 
-// fullyPlaced reports whether every application in p has a real core — i.e.
-// the placement is reusable as-is for the next quantum.
-func fullyPlaced(p machine.Placement, numCores int) bool {
+// fullyPlaced reports whether every application in p has a real core and no
+// core holds more than level of them — i.e. the placement is feasible and
+// reusable as-is for the next quantum. An over-full Prev from a library
+// caller therefore never comes back as the answer.
+func (a *Arena) fullyPlaced(p machine.Placement, numCores, level int) bool {
+	if cap(a.load) < numCores {
+		a.load = make([]int, numCores)
+	}
+	load := a.load[:numCores]
+	clear(load)
 	for _, c := range p {
 		if c < 0 || c >= numCores {
+			return false
+		}
+		if load[c]++; load[c] > level {
 			return false
 		}
 	}
@@ -402,7 +398,7 @@ func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
 		// hysteresis holds co-runner sets (and with them the pair-memoized
 		// weight matrices) stable for long stretches, so steady state
 		// answers the O(n³) solve with a hash lookup.
-		return a.mch.Get(w, func(w [][]float64) ([]int, error) {
+		return a.mch.GetMatrix(w, func(w [][]float64) ([]int, error) {
 			mate, _, err := a.mws.MinWeightMatching(w)
 			return mate, err
 		})

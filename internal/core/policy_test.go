@@ -251,3 +251,36 @@ func TestGreedyMatchComplete(t *testing.T) {
 		}
 	}
 }
+
+// TestOverfullPrevNeverReturned feeds PlaceR a Prev that stacks more apps
+// on a core than the SMT level allows — a library caller bypassing the
+// serving layer's validation. Hysteresis must not hand it back: every path
+// answers a feasible placement.
+func TestOverfullPrevNeverReturned(t *testing.T) {
+	samples := []pmu.Counters{
+		sampleWith(9000, 12000, 500, 7600),
+		sampleWith(9000, 11000, 7500, 600),
+		sampleWith(9000, 12500, 400, 7800),
+		sampleWith(9000, 11500, 7000, 800),
+	}
+	for _, prev := range []machine.Placement{{0, 0, 0, 0}, {1, 1, 1, 0}} {
+		st := &machine.QuantumState{NumApps: 4, NumCores: 2, DispatchWidth: 4, Prev: prev, Samples: samples}
+		p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+		if got := p.PlaceR(p.NewArena(), st); got.Validate(2, 2) != nil {
+			t.Errorf("pairwise path: prev %v answered infeasible %v", prev, got)
+		}
+		if got := p.placeGrouped(p.NewArena(), st, 2); got.Validate(2, 2) != nil {
+			t.Errorf("grouped path at SMT2: prev %v answered infeasible %v", prev, got)
+		}
+	}
+	// SMT4: five apps stacked on core 0 of two cores.
+	st := &machine.QuantumState{
+		NumApps: 5, NumCores: 2, SMTLevel: 4, DispatchWidth: 4,
+		Prev:    machine.Placement{0, 0, 0, 0, 0},
+		Samples: append(samples, sampleWith(9000, 12000, 3000, 3000)),
+	}
+	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+	if got := p.PlaceR(p.NewArena(), st); got.Validate(2, 4) != nil {
+		t.Errorf("grouped path at SMT4: answered infeasible %v", got)
+	}
+}

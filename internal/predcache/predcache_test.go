@@ -1,7 +1,9 @@
 package predcache
 
 import (
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 )
 
@@ -14,7 +16,7 @@ func evalPair(a, b []float64) float64 {
 }
 
 func TestPairCacheHitsAndValues(t *testing.T) {
-	c := NewPair(Options{})
+	c := NewMemo[float64](Options{}, 1).Handle()
 	a := []float64{0.3, 0.5, 0.2}
 	b := []float64{0.1, 0.1, 0.8}
 	calls := 0
@@ -46,7 +48,7 @@ func TestPairCacheHitsAndValues(t *testing.T) {
 }
 
 func TestPairCacheDisabled(t *testing.T) {
-	c := NewPair(Options{Disabled: true})
+	c := NewMemo[float64](Options{Disabled: true}, 1).Handle()
 	calls := 0
 	fn := func(x, y []float64) float64 { calls++; return 1 }
 	c.Get([]float64{1}, []float64{2}, fn)
@@ -59,31 +61,15 @@ func TestPairCacheDisabled(t *testing.T) {
 	}
 }
 
-func TestPairCacheQuantization(t *testing.T) {
-	c := NewPair(Options{Quantum: 0.01})
-	calls := 0
-	fn := func(x, y []float64) float64 { calls++; return evalPair(x, y) }
-	b := []float64{0.5}
-	c.Get([]float64{0.1001}, b, fn)
-	c.Get([]float64{0.1002}, b, fn) // same 0.01 bucket -> hit
-	if calls != 1 {
-		t.Fatalf("quantized keys missed (calls=%d)", calls)
-	}
-	c.Get([]float64{0.12}, b, fn) // different bucket
-	if calls != 2 {
-		t.Fatal("distinct bucket hit")
-	}
-}
-
 func TestPairCacheReset(t *testing.T) {
-	c := NewPair(Options{MaxEntries: 4})
+	c := newMemo[float64](Options{}, 1, 4).Handle()
 	fn := func(x, y []float64) float64 { return x[0] + y[0] }
 	for i := 0; i < 10; i++ {
 		c.Get([]float64{float64(i)}, []float64{1}, fn)
 	}
 	s := c.Stats()
 	if s.Resets == 0 {
-		t.Fatalf("no reset after overflowing MaxEntries: %+v", s)
+		t.Fatalf("no reset after overflowing the entry bound: %+v", s)
 	}
 	// Values stay correct across resets.
 	if v := c.Get([]float64{3}, []float64{1}, fn); v != 4 {
@@ -92,33 +78,33 @@ func TestPairCacheReset(t *testing.T) {
 }
 
 func TestInvertCacheSharesResults(t *testing.T) {
-	c := NewInvert(Options{})
+	c := NewMemo[Inversion](Options{}, 1).Handle()
 	calls := 0
-	fn := func(a, b []float64) ([]float64, []float64, bool) {
+	fn := func(a, b []float64) Inversion {
 		calls++
-		return []float64{a[0] * 2}, []float64{b[0] * 2}, true
+		return Inversion{A: []float64{a[0] * 2}, B: []float64{b[0] * 2}, Converged: true}
 	}
 	a, b := []float64{1.5}, []float64{2.5}
-	ca1, cb1, conv1 := c.Get(a, b, fn)
-	ca2, cb2, conv2 := c.Get(a, b, fn)
+	r1 := c.Get(a, b, fn)
+	r2 := c.Get(a, b, fn)
 	if calls != 1 {
 		t.Fatalf("fn called %d times", calls)
 	}
-	if !conv1 || !conv2 {
+	if !r1.Converged || !r2.Converged {
 		t.Fatal("converged flag lost")
 	}
-	if &ca1[0] != &ca2[0] || &cb1[0] != &cb2[0] {
+	if &r1.A[0] != &r2.A[0] || &r1.B[0] != &r2.B[0] {
 		t.Fatal("hit did not return the shared cached slices")
 	}
-	if ca1[0] != 3 || cb1[0] != 5 {
-		t.Fatalf("cached values %v %v", ca1, cb1)
+	if r1.A[0] != 3 || r1.B[0] != 5 {
+		t.Fatalf("cached values %v %v", r1.A, r1.B)
 	}
 }
 
 func TestKeySeparatesSplits(t *testing.T) {
 	// (a=[x], b=[y,z]) and (a=[x,y], b=[z]) must not collide: the length
 	// prefix disambiguates the split.
-	c := NewPair(Options{})
+	c := NewMemo[float64](Options{}, 1).Handle()
 	calls := 0
 	fn := func(x, y []float64) float64 { calls++; return float64(len(x)) }
 	v1 := c.Get([]float64{1}, []float64{2, 3}, fn)
@@ -128,5 +114,45 @@ func TestKeySeparatesSplits(t *testing.T) {
 	}
 	if v1 == v2 {
 		t.Fatalf("values collided: %v %v", v1, v2)
+	}
+}
+
+// TestMatchMemoKeysUpperTriangle checks the matrix key: it reads only the
+// strict upper triangle, so the diagonal and the lower triangle never
+// split entries, while a one-ulp change above the diagonal does. Errors
+// pass through and are never stored.
+func TestMatchMemoKeysUpperTriangle(t *testing.T) {
+	c := NewMemo[[]int](Options{}, 1).Handle()
+	calls := 0
+	fn := func(w [][]float64) ([]int, error) { calls++; return []int{1, 0}, nil }
+	w := [][]float64{{0, 0.5}, {0.5, 0}}
+	m1, _ := c.GetMatrix(w, fn)
+	w[0][0], w[1][0] = 9, 9 // outside the key
+	m2, _ := c.GetMatrix(w, fn)
+	if calls != 1 || !reflect.DeepEqual(m1, m2) {
+		t.Fatalf("diagonal/lower-triangle change missed the memo (calls=%d)", calls)
+	}
+	w[0][1] = math.Nextafter(w[0][1], 1)
+	c.GetMatrix(w, fn)
+	if calls != 2 {
+		t.Fatal("upper-triangle change hit the memo")
+	}
+	// A 3-vertex matrix whose upper triangle has the same two leading
+	// values must not collide with the 2-vertex key.
+	c.GetMatrix([][]float64{{0, 0.5, 0}, {0.5, 0, 0}, {0, 0, 0}}, fn)
+	if calls != 3 {
+		t.Fatal("vertex count did not separate keys")
+	}
+
+	boom := errors.New("boom")
+	failing := func(w [][]float64) ([]int, error) { calls++; return nil, boom }
+	w2 := [][]float64{{0, 7}, {7, 0}}
+	for i := 0; i < 2; i++ {
+		if _, err := c.GetMatrix(w2, failing); err != boom {
+			t.Fatalf("error not passed through: %v", err)
+		}
+	}
+	if calls != 5 || c.Entries() != 3 {
+		t.Fatalf("failed evaluation was stored (calls=%d entries=%d)", calls, c.Entries())
 	}
 }

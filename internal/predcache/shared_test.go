@@ -7,37 +7,37 @@ import (
 
 func TestSharedMatchesPrivateSemantics(t *testing.T) {
 	s := NewShared(Options{}, 4)
-	iv := s.InvertView()
-	pv := s.PairView()
+	iv := s.Invert().Handle()
+	pv := s.Pair().Handle()
 	invCalls, pairCalls := 0, 0
-	invFn := func(a, b []float64) ([]float64, []float64, bool) {
+	invFn := func(a, b []float64) Inversion {
 		invCalls++
-		return []float64{a[0] * 2}, []float64{b[0] * 2}, true
+		return Inversion{A: []float64{a[0] * 2}, B: []float64{b[0] * 2}, Converged: true}
 	}
 	pairFn := func(a, b []float64) float64 { pairCalls++; return a[0] + b[0] }
 
 	a, b := []float64{1.5}, []float64{2.5}
-	ca1, cb1, _ := iv.Get(a, b, invFn)
-	ca2, cb2, _ := iv.Get(a, b, invFn)
+	r1 := iv.Get(a, b, invFn)
+	r2 := iv.Get(a, b, invFn)
 	if invCalls != 1 {
 		t.Fatalf("invert fn called %d times for two identical lookups", invCalls)
 	}
-	if &ca1[0] != &ca2[0] || &cb1[0] != &cb2[0] {
+	if &r1.A[0] != &r2.A[0] || &r1.B[0] != &r2.B[0] {
 		t.Fatal("hit did not return the shared cached slices")
 	}
 	if v1, v2 := pv.Get(a, b, pairFn), pv.Get(a, b, pairFn); v1 != v2 || pairCalls != 1 {
 		t.Fatalf("pair memo broken: %v %v calls=%d", v1, v2, pairCalls)
 	}
 
-	// A second view hits entries the first view stored — the point of
+	// A second handle hits entries the first handle stored — the point of
 	// sharing — while keeping its own local stats.
-	iv2 := s.InvertView()
+	iv2 := s.Invert().Handle()
 	iv2.Get(a, b, invFn)
 	if invCalls != 1 {
-		t.Fatal("second view missed an entry the first view stored")
+		t.Fatal("second handle missed an entry the first handle stored")
 	}
 	if st := iv2.Stats(); st.Hits != 1 || st.Misses != 0 {
-		t.Fatalf("view-local stats %+v, want 1 hit 0 misses", st)
+		t.Fatalf("handle-local stats %+v, want 1 hit 0 misses", st)
 	}
 	inv, pair := s.Stats()
 	if inv.Hits != 2 || inv.Misses != 1 || pair.Hits != 1 || pair.Misses != 1 {
@@ -50,11 +50,11 @@ func TestSharedMatchesPrivateSemantics(t *testing.T) {
 
 func TestSharedDisabledPassThrough(t *testing.T) {
 	s := NewShared(Options{Disabled: true}, 0)
-	iv := s.InvertView()
+	iv := s.Invert().Handle()
 	calls := 0
-	fn := func(a, b []float64) ([]float64, []float64, bool) {
+	fn := func(a, b []float64) Inversion {
 		calls++
-		return a, b, true
+		return Inversion{A: a, B: b, Converged: true}
 	}
 	iv.Get([]float64{1}, []float64{2}, fn)
 	iv.Get([]float64{1}, []float64{2}, fn)
@@ -71,17 +71,17 @@ func TestSharedShardCountRounding(t *testing.T) {
 	for _, tc := range []struct{ in, want int }{
 		{0, DefaultShards}, {1, 1}, {3, 4}, {16, 16}, {17, 32},
 	} {
-		if got := NewShared(Options{}, tc.in).NumShards(); got != tc.want {
-			t.Errorf("NewShared(shards=%d).NumShards() = %d, want %d", tc.in, got, tc.want)
+		if got := len(NewShared(Options{}, tc.in).pair.shards); got != tc.want {
+			t.Errorf("NewShared(shards=%d) has %d shards, want %d", tc.in, got, tc.want)
 		}
 	}
 }
 
 func TestSharedPerShardReset(t *testing.T) {
-	// MaxEntries 8 over 4 shards = 2 per shard: inserting many distinct
-	// keys must trigger per-shard resets without losing correctness.
-	s := NewShared(Options{MaxEntries: 8}, 4)
-	pv := s.PairView()
+	// 8 entries over 4 shards = 2 per shard: inserting many distinct keys
+	// must trigger per-shard resets without losing correctness.
+	s := &Shared{pair: newMemo[float64](Options{}, 4, 8)}
+	pv := s.Pair().Handle()
 	fn := func(a, b []float64) float64 { return a[0] + b[0] }
 	for i := 0; i < 64; i++ {
 		a := []float64{float64(i)}
@@ -89,11 +89,11 @@ func TestSharedPerShardReset(t *testing.T) {
 			t.Fatalf("wrong value %v for key %d", v, i)
 		}
 	}
-	_, pair := s.Stats()
+	pair := s.Pair().Stats()
 	if pair.Resets == 0 {
 		t.Fatalf("no shard reset after 64 inserts into an 8-entry cache: %+v", pair)
 	}
-	if _, ep := s.Entries(); ep > 8+s.NumShards() {
+	if ep := s.Pair().Entries(); ep > 8+len(s.pair.shards) {
 		t.Fatalf("entries %d exceed the per-shard bound", ep)
 	}
 	// Values stay correct across resets.
@@ -107,7 +107,7 @@ func TestSharedPerShardReset(t *testing.T) {
 // checks every returned value is the pure function's value and the summed
 // stats account for every Get.
 func TestSharedShardStress(t *testing.T) {
-	s := NewShared(Options{MaxEntries: 256}, 8)
+	s := &Shared{invert: newMemo[Inversion](Options{}, 8, 256), pair: newMemo[float64](Options{}, 8, 256)}
 	const goroutines = 8
 	const perG = 2000
 	const keys = 97 // overlapping working set, coprime with goroutines
@@ -117,17 +117,17 @@ func TestSharedShardStress(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			iv := s.InvertView()
-			pv := s.PairView()
-			invFn := func(a, b []float64) ([]float64, []float64, bool) {
-				return []float64{a[0] * 2}, []float64{b[0] * 3}, true
+			iv := s.Invert().Handle()
+			pv := s.Pair().Handle()
+			invFn := func(a, b []float64) Inversion {
+				return Inversion{A: []float64{a[0] * 2}, B: []float64{b[0] * 3}, Converged: true}
 			}
 			pairFn := func(a, b []float64) float64 { return a[0]*10 + b[0] }
 			for i := 0; i < perG; i++ {
 				k := float64((g*perG + i) % keys)
 				a, b := []float64{k}, []float64{k + 1}
-				ca, cb, conv := iv.Get(a, b, invFn)
-				if !conv || ca[0] != k*2 || cb[0] != (k+1)*3 {
+				r := iv.Get(a, b, invFn)
+				if !r.Converged || r.A[0] != k*2 || r.B[0] != (k+1)*3 {
 					errc <- &testError{k: k}
 					return
 				}

@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -181,7 +182,7 @@ func TestPlaceDifferential(t *testing.T) {
 func TestBatchDifferential(t *testing.T) {
 	model := core.PaperCoefficients()
 	queries := synthQueries(t, model, 12)
-	_, hts := newTestServer(t, model, serve.Config{BatchChunk: 5})
+	_, hts := newTestServer(t, model, serve.Config{})
 
 	const badLine = 7
 	var in bytes.Buffer
@@ -499,4 +500,80 @@ func TestRequestFromStateRoundTrip(t *testing.T) {
 			}
 		}
 	}
+}
+
+// infeasibleRepros are queries the wire contract must refuse: a prev that
+// stacks more apps on a core than its SMT level, and repeated app
+// identities (they key the smoothing history).
+var infeasibleRepros = []struct{ name, body string }{
+	{"prev-all-on-core-0", `{"num_cores":2,"num_apps":4,"prev":[0,0,0,0],"samples":` + reproSamples + `}`},
+	{"prev-three-on-core1", `{"num_cores":2,"num_apps":4,"prev":[1,1,1,0],"samples":` + reproSamples + `}`},
+	{"duplicate-app-ids", `{"num_cores":2,"num_apps":2,"app_ids":[7,7]}`},
+}
+
+const reproSamples = `[[9000,12000,500,7600,0,0,0,0,0,0,0,0,0,8000],[9000,11000,7500,600,0,0,0,0,0,0,0,0,0,7000],` +
+	`[9000,12500,400,7800,0,0,0,0,0,0,0,0,0,8200],[9000,11500,7000,800,0,0,0,0,0,0,0,0,0,7200]]`
+
+func TestInfeasibleQueriesRejected(t *testing.T) {
+	model := core.PaperCoefficients()
+	_, hts := newTestServer(t, model, serve.Config{})
+	p := core.MustPolicy(model, core.PolicyOptions{})
+	for _, tc := range infeasibleRepros {
+		t.Run(tc.name, func(t *testing.T) {
+			var q serve.PlaceRequest
+			if err := json.Unmarshal([]byte(tc.body), &q); err != nil {
+				t.Fatal(err)
+			}
+			if resp, err := serve.PlaceOne(p, p.NewArena(), &q); err == nil {
+				t.Fatalf("PlaceOne accepted the query and answered %v", resp.Placement)
+			}
+			resp, raw := postJSON(t, hts.Client(), hts.URL+"/v1/place", []byte(tc.body))
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %s, want 400 (body %s)", resp.Status, raw)
+			}
+		})
+	}
+}
+
+// FuzzPlaceOne checks the serving contract on arbitrary request bytes:
+// every decodable query either fails validation or is answered with a
+// placement of num_apps entries that the machine accepts, and finite
+// degradations.
+func FuzzPlaceOne(f *testing.F) {
+	for _, tc := range infeasibleRepros {
+		f.Add([]byte(tc.body))
+	}
+	f.Add([]byte(`{"num_cores":2,"num_apps":4,"prev":[0,0,1,1],"samples":` + reproSamples + `}`))
+	f.Add([]byte(`{"num_cores":2,"num_apps":3,"prev":[1,-1,0],"app_ids":[4,9,2],"samples":` +
+		`[[9000,12000,500,7600,0,0,0,0,0,0,0,0,0,8000],[0,0,0,0,0,0,0,0,0,0,0,0,0,0],[9000,11000,7500,600,0,0,0,0,0,0,0,0,0,7000]]}`))
+	f.Add([]byte(`{"num_cores":1,"num_apps":4,"smt_level":4,"prev":[0,0,0,0],"samples":` + reproSamples + `}`))
+	f.Add([]byte(`{"num_cores":3,"num_apps":2}`))
+
+	p := core.MustPolicy(core.PaperCoefficients(), core.PolicyOptions{})
+	a := p.NewArena()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		var q serve.PlaceRequest
+		if json.Unmarshal(body, &q) != nil {
+			return
+		}
+		resp, err := serve.PlaceOne(p, a, &q)
+		if err != nil {
+			return
+		}
+		level := q.SMTLevel
+		if level == 0 {
+			level = 2
+		}
+		if len(resp.Placement) != q.NumApps {
+			t.Fatalf("placement has %d entries for %d apps", len(resp.Placement), q.NumApps)
+		}
+		if err := machine.Placement(resp.Placement).Validate(q.NumCores, level); err != nil {
+			t.Fatalf("infeasible placement %v: %v", resp.Placement, err)
+		}
+		for i, d := range resp.Degradations {
+			if math.IsNaN(d) || math.IsInf(d, 0) {
+				t.Fatalf("degradation[%d] = %v", i, d)
+			}
+		}
+	})
 }

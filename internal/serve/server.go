@@ -28,7 +28,6 @@ import (
 	"time"
 
 	"synpa/internal/core"
-	"synpa/internal/machine"
 	"synpa/internal/obs"
 	"synpa/internal/predcache"
 )
@@ -43,9 +42,6 @@ type Config struct {
 	// generation so all in-flight requests warm one memo (bit-identical
 	// by construction); false gives each pooled arena private caches.
 	SharedCache bool
-	// CacheShards is the shared cache's shard count (0 = predcache
-	// default); ignored without SharedCache.
-	CacheShards int
 	// MaxRequestBytes bounds one /v1/place, /v1/model body or one batch
 	// line (default 1 MiB).
 	MaxRequestBytes int64
@@ -55,9 +51,6 @@ type Config struct {
 	// requests are rejected with 503 rather than queued (default
 	// 4×GOMAXPROCS).
 	MaxConcurrent int
-	// BatchChunk is how many batch lines are decoded, warmed through one
-	// InvertBatch and answered per cycle (default 64).
-	BatchChunk int
 	// DrainTimeout bounds Shutdown's graceful drain when the caller's
 	// context has no deadline (default 10s).
 	DrainTimeout time.Duration
@@ -75,9 +68,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxConcurrent <= 0 {
 		c.MaxConcurrent = 4 * runtime.GOMAXPROCS(0)
-	}
-	if c.BatchChunk <= 0 {
-		c.BatchChunk = 64
 	}
 	if c.DrainTimeout <= 0 {
 		c.DrainTimeout = 10 * time.Second
@@ -102,7 +92,7 @@ func newServing(m *core.Model, gen int64, cfg Config) (*serving, error) {
 		return nil, err
 	}
 	if cfg.SharedCache {
-		p.SetSharedCache(predcache.NewShared(cfg.Policy.Cache, cfg.CacheShards))
+		p.SetSharedCache(predcache.NewShared(cfg.Policy.Cache, 0))
 	}
 	sv := &serving{policy: p, gen: gen}
 	sv.arenas.New = func() any { return p.NewArena() }
@@ -255,9 +245,7 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 // handleBatch answers POST /v1/place/batch: a JSONL stream of PlaceRequests
 // in, the matching JSONL stream of PlaceResponses out, strictly 1:1 and in
 // order (a malformed line yields an ErrorResponse line, not a dropped one).
-// Lines are processed in chunks: each chunk's model inversions are warmed
-// through one InvertBatch before the per-query decisions, so duplicate ST
-// vectors across the chunk cost one Newton solve.
+// Each line is answered as soon as it is decoded.
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.m.batchRequests.Add(1)
 	if r.ContentLength > s.cfg.MaxBatchBytes {
@@ -284,59 +272,28 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	defer bw.Flush()
 	enc := json.NewEncoder(bw)
 
-	type line struct {
-		q   *PlaceRequest
-		err error
-	}
-	chunk := make([]line, 0, s.cfg.BatchChunk)
-	sts := make([]*machine.QuantumState, 0, s.cfg.BatchChunk)
-
-	flush := func() error {
-		sts = sts[:0]
-		for _, ln := range chunk {
-			if ln.err == nil && ln.q.Validate() == nil {
-				sts = append(sts, ln.q.state())
-			}
-		}
-		sv.policy.WarmInversions(a, sts)
-		for _, ln := range chunk {
-			if ln.err != nil {
-				s.m.batchErrors.Add(1)
-				if err := enc.Encode(ErrorResponse{Error: ln.err.Error()}); err != nil {
-					return err
-				}
-				continue
-			}
+	// answer writes one line's response, or its error line.
+	answer := func(raw []byte) error {
+		var q PlaceRequest
+		err := json.Unmarshal(raw, &q)
+		if err != nil {
+			err = fmt.Errorf("parsing request: %w", err)
+		} else {
 			t0 := time.Now()
-			resp, err := PlaceOne(sv.policy, a, ln.q)
+			var resp *PlaceResponse
+			resp, err = PlaceOne(sv.policy, a, &q)
 			s.m.placeLatency.Observe(float64(time.Since(t0).Nanoseconds()))
-			if err != nil {
-				s.m.batchErrors.Add(1)
-				if err := enc.Encode(ErrorResponse{Error: err.Error()}); err != nil {
-					return err
-				}
-				continue
-			}
-			s.m.batchQueries.Add(1)
-			if err := enc.Encode(resp); err != nil {
-				return err
+			if err == nil {
+				s.m.batchQueries.Add(1)
+				return enc.Encode(resp)
 			}
 		}
-		chunk = chunk[:0]
-		return nil
+		s.m.batchErrors.Add(1)
+		return enc.Encode(ErrorResponse{Error: err.Error()})
 	}
-
 	for sc.Scan() {
-		raw := sc.Bytes()
-		ln := line{q: &PlaceRequest{}}
-		if err := json.Unmarshal(raw, ln.q); err != nil {
-			ln = line{err: fmt.Errorf("parsing request: %w", err)}
-		}
-		chunk = append(chunk, ln)
-		if len(chunk) >= s.cfg.BatchChunk {
-			if err := flush(); err != nil {
-				return // client gone; nothing sensible left to write
-			}
+		if err := answer(sc.Bytes()); err != nil {
+			return // client gone; nothing sensible left to write
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -345,9 +302,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		// out: degrade to a trailing error line so the client sees a
 		// structured reason instead of silence.
 		s.m.batchErrors.Add(1)
-		chunk = append(chunk, line{err: fmt.Errorf("batch stream aborted: %w", err)})
+		_ = enc.Encode(ErrorResponse{Error: fmt.Sprintf("batch stream aborted: %v", err)})
 	}
-	_ = flush()
 }
 
 // handleModel answers POST /v1/model: parse, validate, build a complete new

@@ -36,14 +36,19 @@ import (
 	"synpa/internal/smtcore"
 )
 
+// MaxCores bounds a query's num_cores: the pairwise path solves a matching
+// over 2 x num_cores vertices, so an unbounded machine size would let one
+// request demand an arbitrarily large weight matrix.
+const MaxCores = 256
+
 // PlaceRequest is one placement query: the machine.QuantumState of the
 // deciding quantum, in wire form. NumCores and NumApps are required; the
 // rest mirror QuantumState's optional views (a query without samples gets
 // the arrival-order cold placement, exactly like the first quantum of a
 // run).
 type PlaceRequest struct {
-	// NumCores is the machine size; NumApps the live-application count
-	// (at most NumCores × the SMT level).
+	// NumCores is the machine size (at most MaxCores); NumApps the
+	// live-application count (at most NumCores × the SMT level).
 	NumCores int `json:"num_cores"`
 	NumApps  int `json:"num_apps"`
 	// SMTLevel is the hardware threads per core (0 selects the SMT2
@@ -53,11 +58,11 @@ type PlaceRequest struct {
 	DispatchWidth int `json:"dispatch_width,omitempty"`
 	// Quantum is the 0-based index of the quantum about to execute.
 	Quantum int `json:"quantum,omitempty"`
-	// AppIDs carries stable app identities (dynamic live sets); nil means
-	// index i is identity i.
+	// AppIDs carries stable, distinct app identities (dynamic live sets);
+	// nil means index i is identity i.
 	AppIDs []int `json:"app_ids,omitempty"`
-	// Prev is the placement executed last quantum (-1 = unplaced); nil
-	// before the first quantum.
+	// Prev is the placement executed last quantum (-1 = unplaced, at most
+	// the SMT level per core); nil before the first quantum.
 	Prev []int `json:"prev,omitempty"`
 	// Samples holds each app's PMU deltas over the previous quantum, one
 	// row of pmu.NumEvents uint64 values per app; nil before the first
@@ -84,10 +89,11 @@ type ErrorResponse struct {
 	Error string `json:"error"`
 }
 
-// Validate checks the query's shape against the QuantumState contract.
+// Validate checks the query against the QuantumState contract: shapes,
+// ranges, a feasible prev and distinct app identities.
 func (q *PlaceRequest) Validate() error {
-	if q.NumCores <= 0 {
-		return fmt.Errorf("num_cores must be positive (got %d)", q.NumCores)
+	if q.NumCores <= 0 || q.NumCores > MaxCores {
+		return fmt.Errorf("num_cores %d outside [1, %d]", q.NumCores, MaxCores)
 	}
 	level := q.SMTLevel
 	if level == 0 {
@@ -103,15 +109,33 @@ func (q *PlaceRequest) Validate() error {
 		return fmt.Errorf("num_apps %d exceeds %d cores x SMT%d = %d hardware threads",
 			q.NumApps, q.NumCores, level, max)
 	}
-	if q.AppIDs != nil && len(q.AppIDs) != q.NumApps {
-		return fmt.Errorf("app_ids has %d entries for %d apps", len(q.AppIDs), q.NumApps)
+	if q.AppIDs != nil {
+		if len(q.AppIDs) != q.NumApps {
+			return fmt.Errorf("app_ids has %d entries for %d apps", len(q.AppIDs), q.NumApps)
+		}
+		seen := make(map[int]bool, len(q.AppIDs))
+		for _, id := range q.AppIDs {
+			if seen[id] {
+				return fmt.Errorf("app_ids repeats identity %d", id)
+			}
+			seen[id] = true
+		}
 	}
-	if q.Prev != nil && len(q.Prev) != q.NumApps {
-		return fmt.Errorf("prev has %d entries for %d apps", len(q.Prev), q.NumApps)
-	}
-	for i, c := range q.Prev {
-		if c < machine.Unplaced || c >= q.NumCores {
-			return fmt.Errorf("prev[%d] = %d outside [-1, %d)", i, c, q.NumCores)
+	if q.Prev != nil {
+		if len(q.Prev) != q.NumApps {
+			return fmt.Errorf("prev has %d entries for %d apps", len(q.Prev), q.NumApps)
+		}
+		load := make([]int, q.NumCores)
+		for i, c := range q.Prev {
+			if c < machine.Unplaced || c >= q.NumCores {
+				return fmt.Errorf("prev[%d] = %d outside [-1, %d)", i, c, q.NumCores)
+			}
+			if c == machine.Unplaced {
+				continue
+			}
+			if load[c]++; load[c] > level {
+				return fmt.Errorf("prev places more than %d apps on core %d (SMT%d)", level, c, level)
+			}
 		}
 	}
 	if q.Samples != nil {
