@@ -226,6 +226,13 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		if i < len(a.mates) {
 			mate = a.mates[i]
 		}
+		if mate >= 0 && a.mates[mate] != i {
+			// An over-full Prev (more than two apps on a core) gives an
+			// asymmetric co-mate relation. An app whose mate does not
+			// point back is estimated as running alone, so every row of
+			// est is written by this call.
+			mate = -1
+		}
 		if !p.opt.DisableInversion && mate >= 0 && mate < i {
 			continue // filled as the co-runner of an earlier index
 		}

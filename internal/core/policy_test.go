@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"synpa/internal/machine"
@@ -282,5 +283,42 @@ func TestOverfullPrevNeverReturned(t *testing.T) {
 	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
 	if got := p.PlaceR(p.NewArena(), st); got.Validate(2, 4) != nil {
 		t.Errorf("grouped path at SMT4: answered infeasible %v", got)
+	}
+}
+
+// TestOverfullPrevIgnoresArenaHistory places an over-full query (three apps
+// stacked on one core) on a fresh arena and on an arena that has placed
+// other queries first and was then Reset. Every estimate row must come from
+// the query itself, so the two placements are identical; before the fix the
+// app whose co-mate did not point back kept whatever an earlier decision
+// left in the double-buffered estimate matrix.
+func TestOverfullPrevIgnoresArenaHistory(t *testing.T) {
+	samples := []pmu.Counters{
+		sampleWith(9000, 12000, 500, 7600),
+		sampleWith(9000, 11000, 500, 7600),
+		sampleWith(9000, 12500, 500, 7600),
+		sampleWith(9000, 11500, 500, 7600),
+	}
+	over := &machine.QuantumState{NumApps: 4, NumCores: 2, DispatchWidth: 4,
+		Prev: machine.Placement{0, 0, 0, 1}, Samples: samples}
+	other := &machine.QuantumState{NumApps: 4, NumCores: 2, DispatchWidth: 4,
+		Prev: machine.Placement{0, 1, 1, 0}, Samples: []pmu.Counters{
+			sampleWith(9000, 4000, 100, 8500),
+			sampleWith(9000, 4200, 8200, 300),
+			sampleWith(9000, 3900, 200, 8600),
+			sampleWith(9000, 4100, 8100, 200),
+		}}
+	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+	want := p.PlaceR(p.NewArena(), over)
+	a := p.NewArena()
+	for k := 0; k < 3; k++ {
+		p.PlaceR(a, other)
+	}
+	a.Reset()
+	if got := p.PlaceR(a, over); !slices.Equal(got, want) {
+		t.Fatalf("over-full prev: used arena placed %v, fresh arena %v", got, want)
+	}
+	if err := want.Validate(2, 2); err != nil {
+		t.Fatalf("over-full prev answered infeasible %v: %v", want, err)
 	}
 }

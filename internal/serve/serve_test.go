@@ -577,3 +577,70 @@ func FuzzPlaceOne(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPlaceBatch checks the batch framing contract on arbitrary request
+// bytes: /v1/place/batch answers exactly one line per input line, in
+// order, and each answer is either a structured error or a feasible
+// placement for the query on the same line.
+func FuzzPlaceBatch(f *testing.F) {
+	valid := `{"num_cores":2,"num_apps":4,"prev":[0,0,1,1],"samples":` + reproSamples + `}`
+	f.Add([]byte(valid + "\n" + valid + "\n"))
+	f.Add([]byte(infeasibleRepros[0].body + "\n{\"num_cores\": \"oops\"}\n\n" + valid))
+	f.Add([]byte(valid + "\r\n" + `{"num_cores":1,"num_apps":4,"smt_level":4,"prev":[0,0,0,0],"samples":` +
+		reproSamples + "}\r\n" + `{"num_cores":3,"num_apps":2}`))
+	f.Add([]byte("\n\n"))
+	f.Add([]byte{})
+
+	srv, err := serve.New(core.PaperCoefficients(), serve.Config{Registry: obs.NewRegistry()})
+	if err != nil {
+		f.Fatal(err)
+	}
+	h := srv.Handler()
+	f.Fuzz(func(t *testing.T, body []byte) {
+		// The input lines as bufio.ScanLines frames them: split at '\n',
+		// a trailing '\r' dropped, no line after a final newline.
+		in := bytes.Split(body, []byte("\n"))
+		if len(in[len(in)-1]) == 0 {
+			in = in[:len(in)-1]
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/place/batch", bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+		}
+		out := bytes.Split(bytes.TrimSuffix(rec.Body.Bytes(), []byte("\n")), []byte("\n"))
+		if rec.Body.Len() == 0 {
+			out = nil
+		}
+		if len(out) != len(in) {
+			t.Fatalf("%d answer lines for %d input lines:\n%s", len(out), len(in), rec.Body.Bytes())
+		}
+		for i, line := range out {
+			var e serve.ErrorResponse
+			if err := json.Unmarshal(line, &e); err != nil {
+				t.Fatalf("line %d: not JSON: %s", i, line)
+			}
+			if e.Error != "" {
+				continue
+			}
+			var resp serve.PlaceResponse
+			if err := json.Unmarshal(line, &resp); err != nil || resp.Placement == nil {
+				t.Fatalf("line %d: neither a placement nor an error: %s", i, line)
+			}
+			var q serve.PlaceRequest
+			if err := json.Unmarshal(bytes.TrimSuffix(in[i], []byte("\r")), &q); err != nil {
+				t.Fatalf("line %d: answered a query that does not parse: %s", i, in[i])
+			}
+			level := q.SMTLevel
+			if level == 0 {
+				level = 2
+			}
+			if len(resp.Placement) != q.NumApps {
+				t.Fatalf("line %d: placement has %d entries for %d apps", i, len(resp.Placement), q.NumApps)
+			}
+			if err := machine.Placement(resp.Placement).Validate(q.NumCores, level); err != nil {
+				t.Fatalf("line %d: infeasible placement %v: %v", i, resp.Placement, err)
+			}
+		}
+	})
+}

@@ -14,10 +14,11 @@
 // positions and phase transitions for every cycle count. The regime
 // classifier is therefore conservative — whenever a cycle could dispatch,
 // retire under shared-width arbitration, or expire a timer whose side
-// effects touch shared structures, the engine falls back to step(). The
-// differential test in fastforward_test.go enforces the equivalence
-// bit-for-bit across the application catalogue. See DESIGN.md in this
-// package for the regime derivations.
+// effects touch shared structures, the engine hands the cycles to the span
+// tier (spanlite.go), which replays them exactly. The differential test in
+// fastforward_test.go enforces the equivalence bit-for-bit across the
+// application catalogue. See DESIGN.md in this package for the regime
+// derivations.
 package smtcore
 
 import "synpa/internal/pmu"

@@ -75,8 +75,8 @@ func TestPartitionCapLevels(t *testing.T) {
 }
 
 // TestFastForwardDifferentialLevels proves observational equivalence of the
-// fast-forward engine (bulk tier + generic span tier) against the per-cycle
-// reference at SMT levels 1, 3 and 4, including partial occupancy.
+// fast-forward engine (bulk tier + span tier) against the per-cycle
+// reference at SMT levels 1–4, including partial occupancy.
 func TestFastForwardDifferentialLevels(t *testing.T) {
 	cases := []struct {
 		level int
@@ -84,10 +84,15 @@ func TestFastForwardDifferentialLevels(t *testing.T) {
 	}{
 		{1, []string{"mcf"}},
 		{1, []string{"exchange2_r"}},
+		{1, []string{"leela_r"}},
+		// SMT2 with an empty slot on either side.
+		{2, []string{"", "mcf"}},
+		{2, []string{"lbm_r", ""}},
 		// SMT3: three residents, and a hole in the middle slot.
 		{3, []string{"lbm_r", "milc", "mcf"}},
 		{3, []string{"gobmk", "perlbench", "leela_r"}},
 		{3, []string{"mcf", "", "exchange2_r"}},
+		{3, []string{"leela_r", "mcf", "mcf_r"}},
 		// SMT4: full house across the behaviour groups, plus partial
 		// occupancy (two and three residents on a 4-way core).
 		{4, []string{"lbm_r", "milc", "mcf", "cactuBSSN_r"}},
@@ -144,4 +149,33 @@ func TestFastForwardRebindLevels(t *testing.T) {
 	ref.Bind(1, p.refInst, p.refBank)
 	fast.Bind(1, p.fastInst, p.fastBank)
 	assertLockstep(t, ref, fast, []enginePair{slots[0], p, slots[2]}, 4, 5_000)
+}
+
+// TestSpanTierNeedsNoReferenceSteps pins the span tier's reach: with the
+// fast-forward engine on, stall events, miss expiries and phase crossings
+// are all handled inside the fast tiers, so the reference step() runs no
+// cycle at all. Every catalogue application is run with its successors as
+// co-runners at each SMT level.
+func TestSpanTierNeedsNoReferenceSteps(t *testing.T) {
+	cat := apps.Catalog()
+	for level := 1; level <= MaxSMTLevel; level++ {
+		cfg := DefaultConfig()
+		cfg.SMTLevel = level
+		for i := range cat {
+			c := New(0, cfg)
+			c.SetFastForward(true)
+			names := make([]string, level)
+			for s := range names {
+				m := cat[(i+s)%len(cat)]
+				names[s] = m.Name
+				c.Bind(s, apps.NewInstance(m, uint64(i+s)+1), newBank(t))
+			}
+			for q := 0; q < 5; q++ {
+				c.Run(20_000)
+			}
+			if es := c.EngineStats(); es.StepCycles != 0 {
+				t.Errorf("smt%d %v: %d of %d cycles ran through step()", level, names, es.StepCycles, c.Cycle())
+			}
+		}
+	}
 }

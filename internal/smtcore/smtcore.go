@@ -225,8 +225,7 @@ type Core struct {
 }
 
 // EngineStats splits a core's simulated cycles across the execution tiers:
-// exact reference steps, the scalarised span engine, and bulk fast-forward
-// skips. The three sum to the cycles the core has run.
+// exact reference steps, the span engine, and bulk fast-forward skips. The three sum to the cycles the core has run.
 type EngineStats struct {
 	// StepCycles were simulated by the per-cycle reference step.
 	StepCycles uint64
@@ -521,8 +520,8 @@ func (t *thread) fireEvent() {
 
 // Run advances the core by the given number of cycles. With the
 // fast-forward engine enabled it alternates bulk advances over statically
-// predictable regimes with exact per-cycle steps (fastforward.go); otherwise
-// it is the per-cycle reference loop.
+// predictable regimes (fastforward.go) with exact span execution of the
+// active cycles (spanlite.go); otherwise it is the per-cycle reference loop.
 func (c *Core) Run(cycles uint64) {
 	if !c.ff {
 		for n := uint64(0); n < cycles; n++ {
@@ -539,33 +538,21 @@ func (c *Core) Run(cycles uint64) {
 			c.engine.FFCycles += skipped
 			continue
 		}
-		// Tier 2: execute an event-free span through the scalarised lean
-		// engine.
+		// Tier 2: execute active cycles through the lean span engine,
+		// which handles stall events, miss expiries and phase crossings
+		// inline and runs until the limit or full dormancy.
 		if ran := c.runSpanLite(remaining); ran > 0 {
 			remaining -= ran
 			c.engine.SpanCycles += ran
 			continue
 		}
-		// Event boundary (stall event, miss expiry, phase crossing) or a
-		// span too short to amortise: run a short burst of reference
-		// steps before re-screening. The burst only delays re-entering a
-		// fast tier — equivalence is untouched because every burst cycle
-		// runs the reference step.
-		burst := uint64(ffBurst)
-		if burst > remaining {
-			burst = remaining
-		}
-		remaining -= burst
-		c.engine.StepCycles += burst
-		for ; burst > 0; burst-- {
-			c.step()
-		}
+		// Neither tier applies (an empty core is skipped by Tier 1, so
+		// this is a safety net): run one reference step.
+		remaining--
+		c.engine.StepCycles++
+		c.step()
 	}
 }
-
-// ffBurst is the number of reference steps run between fast-forward
-// attempts after both fast tiers decline.
-const ffBurst = 1
 
 // step simulates one cycle.
 func (c *Core) step() {

@@ -1,12 +1,14 @@
-// Steady/active span — the lean scalarised tier of the fast-forward engine.
+// Active span — the lean tier of the fast-forward engine.
 //
-// This tier executes long runs of cycles entirely on scalar locals,
-// transcribing step()'s per-cycle arithmetic operation for operation with
-// the dispatch-priority alternation unrolled into the two cycle parities so
-// that no dynamically indexed state remains and the whole cycle body
-// register-allocates. Unlike the original event-free-span design (which the
-// generic tier in spanliten.go still uses), this tier handles the regime
-// changes *inline* instead of ending the span at every one of them:
+// This tier executes long runs of active cycles on span-local copies of the
+// per-thread state, transcribing step()'s per-cycle arithmetic operation for
+// operation (same expressions, same float evaluation order, threads visited
+// in the same rotating-priority order) at every SMT level. The state lives in
+// fixed [MaxSMTLevel] locals packed over the active slots only, and the
+// rotating priority is read from a precomputed order table, so the cycle body
+// needs no division and no idle-slot checks. The regime changes that the
+// reference loop handles per cycle are handled *inline* instead of ending the
+// span at each of them:
 //
 //   - a consumed event window fires its stall event on the spot: the thread
 //     state is synced back, the shared fireEvent runs (same RNG stream,
@@ -24,60 +26,116 @@
 //
 // A span therefore ends only at the cycle limit or when every active
 // thread has gone dormant (the bulk tier in fastforward.go then skips the
-// dormant window in O(1)). PMU counters accumulate in scalars and flush
-// once per span. The per-span screening and flush overhead that dominated
-// the short event-free spans is amortised over thousands of cycles.
-//
-// The parity bodies are deliberate near-duplicates of each other and of
-// step(): the duplication is what buys the register allocation. The file is
-// generated-style mechanical code; the differential test in
-// fastforward_test.go pins every operation to the reference loop.
+// dormant window in O(1)). PMU counters accumulate in liteCounters and
+// flush once per span. The differential tests in fastforward_test.go and
+// level_test.go pin every operation to the reference loop at SMT levels 1–4.
 package smtcore
 
 import "synpa/internal/pmu"
 
-// minSpan is the shortest span worth the setup/flush overhead of the
-// event-free generic tier (spanliten.go); anything shorter runs through
-// step(). The SMT2 tier has no such bound — its spans end only at regime
-// dormancy or the cycle limit.
-const minSpan = 4
-
 // liteCounters accumulates one thread's per-cycle PMU signatures over a
-// span. The SMT2 tier splits frontend stalls by cause (feICnt/feBCnt)
-// because a span can now cover stalls of both kinds; the generic tier keeps
-// the single feCnt with its span-constant kind.
+// span. Frontend stalls are split by cause (feICnt/feBCnt) because one span
+// can cover stalls of both kinds.
 type liteCounters struct {
 	spec, ret                        uint64
-	feCnt                            uint64
 	feICnt, feBCnt                   uint64
 	slotsCnt, robCnt, ldqCnt, stqCnt uint64
 	iqCnt, otherCnt, memLatCnt       uint64
 }
 
-// runSpanLite executes up to limit cycles through the lean scalarised
-// engine, returning the number executed (0 when the tier does not apply).
-// The SMT2 configuration runs the inline-event tier below; other levels run
-// the generic event-free-span variant in spanliten.go.
-func (c *Core) runSpanLite(limit uint64) uint64 {
-	if len(c.threads) == 2 {
-		return c.runSpanLite2(limit)
-	}
-	return c.runSpanLiteN(limit)
+// liteState is one active thread's span-local microstate plus the rate
+// parameters the cycle body reads, hoisted out of the thread struct and
+// reloaded after every rate refresh.
+type liteState struct {
+	t *thread
+
+	rob, win, fe, miss, kind int
+	iq, ldq, stq             float64
+	acc, frac                float64
+	base                     int
+	loadR, storeR, depF      float64
+	invD, invL, invS         float64
+
+	pb     int64  // dispatched instructions left before a phase boundary
+	adv    uint64 // the part of cnt.spec already fed to AdvanceDispatched
+	frozen bool   // miss-blocked with the blocked-ness proven invariant
+	cnt    liteCounters
 }
 
-// runSpanLite2 is the SMT2 tier: every per-thread quantity lives in a
-// scalar local, the two dispatch-priority parities are unrolled, and stall
-// events, miss expiries and phase crossings are handled inline so that the
-// span only ends at the limit or at full dormancy.
-func (c *Core) runSpanLite2(limit uint64) uint64 {
-	t0, t1 := &c.threads[0], &c.threads[1]
-	active0, active1 := t0.inst != nil, t1.inst != nil
-	if (!active0 && !active1) || limit == 0 {
+// load copies the thread's microstate into the span locals.
+func (st *liteState) load() {
+	t := st.t
+	st.rob, st.win, st.fe, st.miss, st.kind = t.robHeld, t.window, t.feLeft, t.missLeft, t.feKind
+	st.iq, st.ldq, st.stq = t.iqHeld, t.ldqHeld, t.stqHeld
+	st.acc = t.ilpAcc
+}
+
+// sync writes the span-local microstate back to the thread struct.
+func (st *liteState) sync() {
+	t := st.t
+	t.robHeld, t.window, t.feLeft, t.missLeft, t.feKind = st.rob, st.win, st.fe, st.miss, st.kind
+	t.iqHeld, t.ldqHeld, t.stqHeld = st.iq, st.ldq, st.stq
+	t.ilpAcc = st.acc
+}
+
+// loadRates copies the thread's contention-adjusted parameters and its
+// distance to the next phase boundary.
+func (st *liteState) loadRates() {
+	t := st.t
+	st.base, st.frac = t.ilpBase, t.ilpFrac
+	st.loadR, st.storeR, st.depF = t.loadRatio, t.storeRatio, t.depFrac
+	st.invD, st.invL, st.invS = t.invDepFrac, t.invLoadRatio, t.invStoreRatio
+	st.pb = int64(t.inst.InstsToPhaseBoundary())
+}
+
+// runSpanLite executes up to limit cycles through the lean span engine,
+// returning the number executed (0 only when limit is 0 or no application
+// is bound).
+func (c *Core) runSpanLite(limit uint64) uint64 {
+	level := len(c.threads)
+	if limit == 0 {
 		return 0
 	}
-	n := limit
 
-	// --- hoist state into scalar locals ------------------------------------
+	// --- pack the active slots into span locals ---------------------------
+	var sts [MaxSMTLevel]liteState
+	var pos [MaxSMTLevel]int // slot -> packed position, -1 when idle
+	na := 0
+	for s := 0; s < level; s++ {
+		pos[s] = -1
+		t := &c.threads[s]
+		if t.inst == nil {
+			continue
+		}
+		pos[s] = na
+		st := &sts[na]
+		st.t = t
+		st.load()
+		st.loadRates()
+		na++
+	}
+	if na == 0 {
+		return 0
+	}
+	// ord[f] lists the active threads in step()'s visiting order for a
+	// cycle whose priority starts at slot f. Packing preserves slot order,
+	// so loops over act run in step()'s index order.
+	var ord [MaxSMTLevel][MaxSMTLevel]*liteState
+	for f := 0; f < level; f++ {
+		o := 0
+		for d := 0; d < level; d++ {
+			s := f + d
+			if s >= level {
+				s -= level
+			}
+			if j := pos[s]; j >= 0 {
+				ord[f][o] = &sts[j]
+				o++
+			}
+		}
+	}
+	act := sts[:na]
+
 	dispW, retireW := c.cfg.DispatchWidth, c.cfg.RetireWidth
 	robSize := c.cfg.ROBSize
 	robCap := c.robCap
@@ -87,716 +145,214 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 	iqCap := c.iqCap
 	ldqCap, stqCap := c.ldqCap, c.stqCap
 	ldqDead, stqDead := c.ldqDead, c.stqDead
-	var (
-		rob0, win0, fe0, miss0, kind0 int
-		rob1, win1, fe1, miss1, kind1 int
-		iqH0, ldq0, stq0              float64
-		iqH1, ldq1, stq1              float64
-		acc0, frac0, acc1, frac1      float64
-		base0, base1                  int
-		loadR0, storeR0               float64
-		loadR1, storeR1               float64
-		depF0, depF1                  float64
-		invD0, invD1                  float64
-		invL0, invS0, invL1, invS1    float64
-		pb0, pb1                      int64
-		specPend0, specPend1          uint64
-		frozen0, frozen1              bool
-		cnt0, cnt1                    liteCounters
-	)
-	if active0 {
-		rob0, win0, fe0, miss0, kind0 = t0.robHeld, t0.window, t0.feLeft, t0.missLeft, t0.feKind
-		iqH0, ldq0, stq0 = t0.iqHeld, t0.ldqHeld, t0.stqHeld
-		acc0, frac0, base0 = t0.ilpAcc, t0.ilpFrac, t0.ilpBase
-		loadR0, storeR0, depF0 = t0.loadRatio, t0.storeRatio, t0.depFrac
-		invD0, invL0, invS0 = t0.invDepFrac, t0.invLoadRatio, t0.invStoreRatio
-		pb0 = int64(t0.inst.InstsToPhaseBoundary())
-	}
-	if active1 {
-		rob1, win1, fe1, miss1, kind1 = t1.robHeld, t1.window, t1.feLeft, t1.missLeft, t1.feKind
-		iqH1, ldq1, stq1 = t1.iqHeld, t1.ldqHeld, t1.stqHeld
-		acc1, frac1, base1 = t1.ilpAcc, t1.ilpFrac, t1.ilpBase
-		loadR1, storeR1, depF1 = t1.loadRatio, t1.storeRatio, t1.depFrac
-		invD1, invL1, invS1 = t1.invDepFrac, t1.invLoadRatio, t1.invStoreRatio
-		pb1 = int64(t1.inst.InstsToPhaseBoundary())
-	}
 
 	i := uint64(0)
-	stop := false
-	crossed := false
 	stallStreak := 0
-	runOdd := c.prio == 1
+	prio := c.prio
+	iqShared, iqStale := 0.0, true
 
-	for i < n && !stop {
+	for i < limit {
 		i++
-		dispatched := false
-		if !runOdd {
-			runOdd = true
-			// ===== cycle with thread 0 first ==========================
-			retireLeft := retireW
-			if active0 && miss0 == 0 && rob0 > 0 {
-				k := rob0
+		order := ord[prio][:na]
+		if prio++; prio == level {
+			prio = 0
+		}
+
+		// --- retire stage and miss timers (mirror step) ------------------
+		// One pass in priority order: a thread's retirement reads only its
+		// own miss timer before the decrement, and each timer touches only
+		// its own thread, so fusing step()'s two loops changes nothing.
+		retireLeft := retireW
+		robUsed := 0
+		for _, st := range order {
+			if st.miss > 0 {
+				if st.miss--; st.miss == 0 {
+					// Data returned: dependants issue, IQ drains.
+					st.iq = 0
+					st.frozen = false
+					iqStale = true
+				}
+			} else if st.rob > 0 && retireLeft > 0 {
+				k := st.rob
 				if k > retireLeft {
 					k = retireLeft
 				}
 				retireLeft -= k
-				rob0 -= k
+				st.rob -= k
 				if !ldqDead {
-					ldq0 -= loadR0 * float64(k)
-					if ldq0 < 0 {
-						ldq0 = 0
+					st.ldq -= st.loadR * float64(k)
+					if st.ldq < 0 {
+						st.ldq = 0
 					}
 				}
 				if !stqDead {
-					stq0 -= storeR0 * float64(k)
-					if stq0 < 0 {
-						stq0 = 0
+					st.stq -= st.storeR * float64(k)
+					if st.stq < 0 {
+						st.stq = 0
 					}
 				}
-				if rob0 == 0 {
-					ldq0, stq0 = 0, 0
+				if st.rob == 0 {
+					st.ldq, st.stq = 0, 0
 				}
-				cnt0.ret += uint64(k)
+				st.cnt.ret += uint64(k)
 			}
-			if active1 && miss1 == 0 && rob1 > 0 && retireLeft > 0 {
-				k := rob1
-				if k > retireLeft {
-					k = retireLeft
+			robUsed += st.rob
+		}
+
+		// --- dispatch stage (rotating priority, mirrors step) -------------
+		slots := dispW
+		crossed := false
+		for _, st := range order {
+			if st.frozen {
+				// Miss-blocked with the blocked-ness proven invariant: the
+				// supply dither still advances before the cascade discards
+				// it, exactly as in step().
+				st.acc += st.frac
+				if st.acc >= 1 {
+					st.acc--
 				}
-				rob1 -= k
-				if !ldqDead {
-					ldq1 -= loadR1 * float64(k)
-					if ldq1 < 0 {
-						ldq1 = 0
-					}
-				}
-				if !stqDead {
-					stq1 -= storeR1 * float64(k)
-					if stq1 < 0 {
-						stq1 = 0
-					}
-				}
-				if rob1 == 0 {
-					ldq1, stq1 = 0, 0
-				}
-				cnt1.ret += uint64(k)
+				st.cnt.memLatCnt++
+				continue
 			}
-			// --- miss timers (index order, mirrors step) -----------------
-			if active0 && miss0 > 0 {
-				if miss0--; miss0 == 0 {
-					iqH0 = 0
-					frozen0 = false
-				}
-			}
-			if active1 && miss1 > 0 {
-				if miss1--; miss1 == 0 {
-					iqH1 = 0
-					frozen1 = false
-				}
-			}
-			// --- dispatch stage ------------------------------------------
-			slots := dispW
-			robUsed := rob0 + rob1
-			if active0 {
-				if frozen0 {
-					// Miss-blocked with the blocked-ness proven invariant:
-					// the supply dither still advances before the cascade
-					// discards it, exactly as in step().
-					acc0 += frac0
-					if acc0 >= 1 {
-						acc0--
-					}
-					cnt0.memLatCnt++
-				} else if fe0 > 0 {
-					fe0--
-					if kind0 == evICache {
-						cnt0.feICnt++
-					} else {
-						cnt0.feBCnt++
-					}
+			if st.fe > 0 {
+				st.fe--
+				if st.kind == evICache {
+					st.cnt.feICnt++
 				} else {
-					supply := base0
-					acc0 += frac0
-					if acc0 >= 1 {
-						supply++
-						acc0--
-					}
-					k := supply
-					cause := 0
-					if win0 < k {
-						k = win0
-					}
-					if slots < k {
-						k = slots
-						if slots == 0 {
-							cause = 1
-						}
-					}
-					if free := robSize - robUsed; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					if free := robCap - rob0; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					iqFree := iqSizeF - iqH0 - iqH1
-					if own := iqCap - iqH0; own < iqFree {
-						iqFree = own
-					}
-					if iqFree < 1 {
+					st.cnt.feBCnt++
+				}
+				continue
+			}
+			supply := st.base
+			st.acc += st.frac
+			if st.acc >= 1 {
+				supply++
+				st.acc--
+			}
+			k := supply
+			cause := 0
+			if st.win < k {
+				k = st.win
+			}
+			if slots < k {
+				k = slots
+				if slots == 0 {
+					cause = 1
+				}
+			}
+			if free := robSize - robUsed; free < k {
+				k = free
+				if free <= 0 {
+					k = 0
+					cause = 2
+				}
+			}
+			if free := robCap - st.rob; free < k {
+				k = free
+				if free <= 0 {
+					k = 0
+					cause = 2
+				}
+			}
+			if iqStale {
+				// Only dispatch under a miss and a miss expiry move iq, so
+				// the shared free count is recomputed (in step()'s
+				// subtraction order) only after one of them.
+				iqShared = iqSizeF
+				for q := range act {
+					iqShared -= act[q].iq
+				}
+				iqStale = false
+			}
+			iqFree := iqShared
+			if own := iqCap - st.iq; own < iqFree {
+				iqFree = own
+			}
+			if iqFree < 1 {
+				k = 0
+				cause = 5
+			} else if st.miss > 0 && st.depF > 0 {
+				if lim := int(iqFree * st.invD); lim < k {
+					k = lim
+					if lim <= 0 {
 						k = 0
 						cause = 5
-					} else if miss0 > 0 && depF0 > 0 {
-						if lim := int(iqFree * invD0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 5
-							}
-						}
-					}
-					if !ldqDead && loadR0 > 0 && k > 0 {
-						ldqFree := ldqSizeF - ldq0 - ldq1
-						if own := ldqCap - ldq0; own < ldqFree {
-							ldqFree = own
-						}
-						if lim := int(ldqFree * invL0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 3
-							}
-						}
-					}
-					if !stqDead && storeR0 > 0 && k > 0 {
-						stqFree := stqSizeF - stq0 - stq1
-						if own := stqCap - stq0; own < stqFree {
-							stqFree = own
-						}
-						if lim := int(stqFree * invS0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 4
-							}
-						}
-					}
-					if k <= 0 {
-						if miss0 > 0 {
-							cnt0.memLatCnt++
-							// Zero-dispatch under an own miss: if the
-							// thread's own partition caps alone block it,
-							// the outcome is invariant until the expiry
-							// (nothing it does can change its own state),
-							// so the cascade can freeze.
-							t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld = rob0, iqH0, ldq0, stq0
-							t0.missLeft = miss0
-							if c.dispatchBlockedOwn(t0) {
-								frozen0 = true
-							}
-						} else {
-							cnt0.countStall(cause)
-						}
-					} else {
-						dispatched = true
-						slots -= k
-						robUsed += k
-						rob0 += k
-						if miss0 > 0 {
-							iqH0 += depF0 * float64(k)
-						}
-						if !ldqDead {
-							ldq0 += loadR0 * float64(k)
-						}
-						if !stqDead {
-							stq0 += storeR0 * float64(k)
-						}
-						cnt0.spec += uint64(k)
-						specPend0 += uint64(k)
-						win0 -= k
-						if pb0 -= int64(k); pb0 <= 0 {
-							crossed = true
-						}
-						if win0 == 0 {
-							// Window exhausted: fire the stall event exactly
-							// where step() does, via the shared fireEvent on
-							// synced thread state (same RNG stream).
-							t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld = rob0, iqH0, ldq0, stq0
-							t0.missLeft, t0.feLeft, t0.window = miss0, 0, 0
-							t0.fireEvent()
-							rob0, iqH0, ldq0, stq0 = t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld
-							miss0, fe0, kind0, win0 = t0.missLeft, t0.feLeft, t0.feKind, t0.window
-						}
 					}
 				}
 			}
-			if active1 {
-				if frozen1 {
-					// Miss-blocked with the blocked-ness proven invariant:
-					// the supply dither still advances before the cascade
-					// discards it, exactly as in step().
-					acc1 += frac1
-					if acc1 >= 1 {
-						acc1--
+			if !ldqDead && st.loadR > 0 && k > 0 {
+				ldqFree := ldqSizeF
+				for q := range act {
+					ldqFree -= act[q].ldq
+				}
+				if own := ldqCap - st.ldq; own < ldqFree {
+					ldqFree = own
+				}
+				if lim := int(ldqFree * st.invL); lim < k {
+					k = lim
+					if lim <= 0 {
+						k = 0
+						cause = 3
 					}
-					cnt1.memLatCnt++
-				} else if fe1 > 0 {
-					fe1--
-					if kind1 == evICache {
-						cnt1.feICnt++
-					} else {
-						cnt1.feBCnt++
+				}
+			}
+			if !stqDead && st.storeR > 0 && k > 0 {
+				stqFree := stqSizeF
+				for q := range act {
+					stqFree -= act[q].stq
+				}
+				if own := stqCap - st.stq; own < stqFree {
+					stqFree = own
+				}
+				if lim := int(stqFree * st.invS); lim < k {
+					k = lim
+					if lim <= 0 {
+						k = 0
+						cause = 4
+					}
+				}
+			}
+			if k <= 0 {
+				if st.miss > 0 {
+					st.cnt.memLatCnt++
+					// Zero-dispatch under an own miss: if the thread's own
+					// partition caps alone block it, the outcome is
+					// invariant until the expiry (nothing it does can
+					// change its own state), so the cascade can freeze.
+					st.sync()
+					if c.dispatchBlockedOwn(st.t) {
+						st.frozen = true
 					}
 				} else {
-					supply := base1
-					acc1 += frac1
-					if acc1 >= 1 {
-						supply++
-						acc1--
-					}
-					k := supply
-					cause := 0
-					if win1 < k {
-						k = win1
-					}
-					if slots < k {
-						k = slots
-						if slots == 0 {
-							cause = 1
-						}
-					}
-					if free := robSize - robUsed; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					if free := robCap - rob1; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					iqFree := iqSizeF - iqH0 - iqH1
-					if own := iqCap - iqH1; own < iqFree {
-						iqFree = own
-					}
-					if iqFree < 1 {
-						k = 0
-						cause = 5
-					} else if miss1 > 0 && depF1 > 0 {
-						if lim := int(iqFree * invD1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 5
-							}
-						}
-					}
-					if !ldqDead && loadR1 > 0 && k > 0 {
-						ldqFree := ldqSizeF - ldq0 - ldq1
-						if own := ldqCap - ldq1; own < ldqFree {
-							ldqFree = own
-						}
-						if lim := int(ldqFree * invL1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 3
-							}
-						}
-					}
-					if !stqDead && storeR1 > 0 && k > 0 {
-						stqFree := stqSizeF - stq0 - stq1
-						if own := stqCap - stq1; own < stqFree {
-							stqFree = own
-						}
-						if lim := int(stqFree * invS1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 4
-							}
-						}
-					}
-					if k <= 0 {
-						if miss1 > 0 {
-							cnt1.memLatCnt++
-							t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld = rob1, iqH1, ldq1, stq1
-							t1.missLeft = miss1
-							if c.dispatchBlockedOwn(t1) {
-								frozen1 = true
-							}
-						} else {
-							cnt1.countStall(cause)
-						}
-					} else {
-						dispatched = true
-						slots -= k
-						rob1 += k
-						if miss1 > 0 {
-							iqH1 += depF1 * float64(k)
-						}
-						if !ldqDead {
-							ldq1 += loadR1 * float64(k)
-						}
-						if !stqDead {
-							stq1 += storeR1 * float64(k)
-						}
-						cnt1.spec += uint64(k)
-						specPend1 += uint64(k)
-						win1 -= k
-						if pb1 -= int64(k); pb1 <= 0 {
-							crossed = true
-						}
-						if win1 == 0 {
-							t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld = rob1, iqH1, ldq1, stq1
-							t1.missLeft, t1.feLeft, t1.window = miss1, 0, 0
-							t1.fireEvent()
-							rob1, iqH1, ldq1, stq1 = t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld
-							miss1, fe1, kind1, win1 = t1.missLeft, t1.feLeft, t1.feKind, t1.window
-						}
-					}
+					st.cnt.countStall(cause)
 				}
+				continue
 			}
-		} else {
-			runOdd = false
-			// ===== cycle with thread 1 first ==============================
-			retireLeft := retireW
-			if active1 && miss1 == 0 && rob1 > 0 {
-				k := rob1
-				if k > retireLeft {
-					k = retireLeft
-				}
-				retireLeft -= k
-				rob1 -= k
-				if !ldqDead {
-					ldq1 -= loadR1 * float64(k)
-					if ldq1 < 0 {
-						ldq1 = 0
-					}
-				}
-				if !stqDead {
-					stq1 -= storeR1 * float64(k)
-					if stq1 < 0 {
-						stq1 = 0
-					}
-				}
-				if rob1 == 0 {
-					ldq1, stq1 = 0, 0
-				}
-				cnt1.ret += uint64(k)
+			slots -= k
+			robUsed += k
+			st.rob += k
+			if st.miss > 0 {
+				st.iq += st.depF * float64(k)
+				iqStale = true
 			}
-			if active0 && miss0 == 0 && rob0 > 0 && retireLeft > 0 {
-				k := rob0
-				if k > retireLeft {
-					k = retireLeft
-				}
-				rob0 -= k
-				if !ldqDead {
-					ldq0 -= loadR0 * float64(k)
-					if ldq0 < 0 {
-						ldq0 = 0
-					}
-				}
-				if !stqDead {
-					stq0 -= storeR0 * float64(k)
-					if stq0 < 0 {
-						stq0 = 0
-					}
-				}
-				if rob0 == 0 {
-					ldq0, stq0 = 0, 0
-				}
-				cnt0.ret += uint64(k)
+			if !ldqDead {
+				st.ldq += st.loadR * float64(k)
 			}
-			// --- miss timers (index order, mirrors step) -----------------
-			if active0 && miss0 > 0 {
-				if miss0--; miss0 == 0 {
-					iqH0 = 0
-					frozen0 = false
-				}
+			if !stqDead {
+				st.stq += st.storeR * float64(k)
 			}
-			if active1 && miss1 > 0 {
-				if miss1--; miss1 == 0 {
-					iqH1 = 0
-					frozen1 = false
-				}
+			st.cnt.spec += uint64(k)
+			st.win -= k
+			if st.pb -= int64(k); st.pb <= 0 {
+				crossed = true
 			}
-			// --- dispatch stage ------------------------------------------
-			slots := dispW
-			robUsed := rob0 + rob1
-			if active1 {
-				if frozen1 {
-					// Miss-blocked with the blocked-ness proven invariant:
-					// the supply dither still advances before the cascade
-					// discards it, exactly as in step().
-					acc1 += frac1
-					if acc1 >= 1 {
-						acc1--
-					}
-					cnt1.memLatCnt++
-				} else if fe1 > 0 {
-					fe1--
-					if kind1 == evICache {
-						cnt1.feICnt++
-					} else {
-						cnt1.feBCnt++
-					}
-				} else {
-					supply := base1
-					acc1 += frac1
-					if acc1 >= 1 {
-						supply++
-						acc1--
-					}
-					k := supply
-					cause := 0
-					if win1 < k {
-						k = win1
-					}
-					if slots < k {
-						k = slots
-						if slots == 0 {
-							cause = 1
-						}
-					}
-					if free := robSize - robUsed; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					if free := robCap - rob1; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					iqFree := iqSizeF - iqH0 - iqH1
-					if own := iqCap - iqH1; own < iqFree {
-						iqFree = own
-					}
-					if iqFree < 1 {
-						k = 0
-						cause = 5
-					} else if miss1 > 0 && depF1 > 0 {
-						if lim := int(iqFree * invD1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 5
-							}
-						}
-					}
-					if !ldqDead && loadR1 > 0 && k > 0 {
-						ldqFree := ldqSizeF - ldq0 - ldq1
-						if own := ldqCap - ldq1; own < ldqFree {
-							ldqFree = own
-						}
-						if lim := int(ldqFree * invL1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 3
-							}
-						}
-					}
-					if !stqDead && storeR1 > 0 && k > 0 {
-						stqFree := stqSizeF - stq0 - stq1
-						if own := stqCap - stq1; own < stqFree {
-							stqFree = own
-						}
-						if lim := int(stqFree * invS1); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 4
-							}
-						}
-					}
-					if k <= 0 {
-						if miss1 > 0 {
-							cnt1.memLatCnt++
-							t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld = rob1, iqH1, ldq1, stq1
-							t1.missLeft = miss1
-							if c.dispatchBlockedOwn(t1) {
-								frozen1 = true
-							}
-						} else {
-							cnt1.countStall(cause)
-						}
-					} else {
-						dispatched = true
-						slots -= k
-						robUsed += k
-						rob1 += k
-						if miss1 > 0 {
-							iqH1 += depF1 * float64(k)
-						}
-						if !ldqDead {
-							ldq1 += loadR1 * float64(k)
-						}
-						if !stqDead {
-							stq1 += storeR1 * float64(k)
-						}
-						cnt1.spec += uint64(k)
-						specPend1 += uint64(k)
-						win1 -= k
-						if pb1 -= int64(k); pb1 <= 0 {
-							crossed = true
-						}
-						if win1 == 0 {
-							t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld = rob1, iqH1, ldq1, stq1
-							t1.missLeft, t1.feLeft, t1.window = miss1, 0, 0
-							t1.fireEvent()
-							rob1, iqH1, ldq1, stq1 = t1.robHeld, t1.iqHeld, t1.ldqHeld, t1.stqHeld
-							miss1, fe1, kind1, win1 = t1.missLeft, t1.feLeft, t1.feKind, t1.window
-						}
-					}
-				}
-			}
-			if active0 {
-				if frozen0 {
-					// Miss-blocked with the blocked-ness proven invariant:
-					// the supply dither still advances before the cascade
-					// discards it, exactly as in step().
-					acc0 += frac0
-					if acc0 >= 1 {
-						acc0--
-					}
-					cnt0.memLatCnt++
-				} else if fe0 > 0 {
-					fe0--
-					if kind0 == evICache {
-						cnt0.feICnt++
-					} else {
-						cnt0.feBCnt++
-					}
-				} else {
-					supply := base0
-					acc0 += frac0
-					if acc0 >= 1 {
-						supply++
-						acc0--
-					}
-					k := supply
-					cause := 0
-					if win0 < k {
-						k = win0
-					}
-					if slots < k {
-						k = slots
-						if slots == 0 {
-							cause = 1
-						}
-					}
-					if free := robSize - robUsed; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					if free := robCap - rob0; free < k {
-						k = free
-						if free <= 0 {
-							k = 0
-							cause = 2
-						}
-					}
-					iqFree := iqSizeF - iqH0 - iqH1
-					if own := iqCap - iqH0; own < iqFree {
-						iqFree = own
-					}
-					if iqFree < 1 {
-						k = 0
-						cause = 5
-					} else if miss0 > 0 && depF0 > 0 {
-						if lim := int(iqFree * invD0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 5
-							}
-						}
-					}
-					if !ldqDead && loadR0 > 0 && k > 0 {
-						ldqFree := ldqSizeF - ldq0 - ldq1
-						if own := ldqCap - ldq0; own < ldqFree {
-							ldqFree = own
-						}
-						if lim := int(ldqFree * invL0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 3
-							}
-						}
-					}
-					if !stqDead && storeR0 > 0 && k > 0 {
-						stqFree := stqSizeF - stq0 - stq1
-						if own := stqCap - stq0; own < stqFree {
-							stqFree = own
-						}
-						if lim := int(stqFree * invS0); lim < k {
-							k = lim
-							if lim <= 0 {
-								k = 0
-								cause = 4
-							}
-						}
-					}
-					if k <= 0 {
-						if miss0 > 0 {
-							cnt0.memLatCnt++
-							t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld = rob0, iqH0, ldq0, stq0
-							t0.missLeft = miss0
-							if c.dispatchBlockedOwn(t0) {
-								frozen0 = true
-							}
-						} else {
-							cnt0.countStall(cause)
-						}
-					} else {
-						dispatched = true
-						slots -= k
-						rob0 += k
-						if miss0 > 0 {
-							iqH0 += depF0 * float64(k)
-						}
-						if !ldqDead {
-							ldq0 += loadR0 * float64(k)
-						}
-						if !stqDead {
-							stq0 += storeR0 * float64(k)
-						}
-						cnt0.spec += uint64(k)
-						specPend0 += uint64(k)
-						win0 -= k
-						if pb0 -= int64(k); pb0 <= 0 {
-							crossed = true
-						}
-						if win0 == 0 {
-							t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld = rob0, iqH0, ldq0, stq0
-							t0.missLeft, t0.feLeft, t0.window = miss0, 0, 0
-							t0.fireEvent()
-							rob0, iqH0, ldq0, stq0 = t0.robHeld, t0.iqHeld, t0.ldqHeld, t0.stqHeld
-							miss0, fe0, kind0, win0 = t0.missLeft, t0.feLeft, t0.feKind, t0.window
-						}
-					}
-				}
+			if st.win == 0 {
+				// Window exhausted: fire the stall event exactly where
+				// step() does, via the shared fireEvent on synced thread
+				// state (same RNG stream).
+				st.sync()
+				st.t.fireEvent()
+				st.load()
 			}
 		}
 
@@ -807,59 +363,41 @@ func (c *Core) runSpanLite2(limit uint64) uint64 {
 			// the deferred advance equals step()'s per-dispatch advances)
 			// and refresh the contention rates exactly where step() does —
 			// at the end of the crossing cycle.
-			crossed = false
-			if specPend0 > 0 {
-				t0.inst.AdvanceDispatched(specPend0)
-				specPend0 = 0
-			}
-			if specPend1 > 0 {
-				t1.inst.AdvanceDispatched(specPend1)
-				specPend1 = 0
+			for j := range act {
+				act[j].advance()
 			}
 			c.refreshRates()
-			if active0 {
-				base0, frac0 = t0.ilpBase, t0.ilpFrac
-				loadR0, storeR0, depF0 = t0.loadRatio, t0.storeRatio, t0.depFrac
-				invD0, invL0, invS0 = t0.invDepFrac, t0.invLoadRatio, t0.invStoreRatio
-				pb0 = int64(t0.inst.InstsToPhaseBoundary())
-			}
-			if active1 {
-				base1, frac1 = t1.ilpBase, t1.ilpFrac
-				loadR1, storeR1, depF1 = t1.loadRatio, t1.storeRatio, t1.depFrac
-				invD1, invL1, invS1 = t1.invDepFrac, t1.invLoadRatio, t1.invStoreRatio
-				pb1 = int64(t1.inst.InstsToPhaseBoundary())
+			for j := range act {
+				act[j].loadRates()
 			}
 		}
-		if dispatched {
+		if slots < dispW {
 			stallStreak = 0
-		} else {
-			// No dispatch this cycle. If every active thread is provably
-			// dormant (frozen on a miss or frontend-starved), hand the
-			// window to the bulk tier in fastforward.go, which skips it in
-			// O(1); otherwise a short streak of contention-stalled cycles
-			// ends the span so the bulk tier can re-screen.
-			if (!active0 || frozen0 || fe0 > 0) && (!active1 || frozen1 || fe1 > 0) {
-				stop = true
-			} else if stallStreak++; stallStreak >= 8 {
-				stop = true
+			continue
+		}
+		// No dispatch this cycle. If every active thread is provably
+		// dormant (frozen on a miss or frontend-starved), hand the window
+		// to the bulk tier in fastforward.go, which skips it in O(1);
+		// otherwise a short streak of contention-stalled cycles ends the
+		// span so the bulk tier can re-screen.
+		dormant := true
+		for j := range act {
+			if !act[j].frozen && act[j].fe == 0 {
+				dormant = false
+				break
 			}
+		}
+		if stallStreak++; dormant || stallStreak >= 8 {
+			break
 		}
 	}
 
 	// --- flush --------------------------------------------------------------
 	c.cycle += i
-	c.prio = (c.prio + int(i&1)) & 1
-	if active0 {
-		t0.robHeld, t0.window, t0.feLeft, t0.missLeft = rob0, win0, fe0, miss0
-		t0.iqHeld, t0.ldqHeld, t0.stqHeld = iqH0, ldq0, stq0
-		t0.ilpAcc = acc0
-		flushLite2(t0, i, &cnt0, specPend0)
-	}
-	if active1 {
-		t1.robHeld, t1.window, t1.feLeft, t1.missLeft = rob1, win1, fe1, miss1
-		t1.iqHeld, t1.ldqHeld, t1.stqHeld = iqH1, ldq1, stq1
-		t1.ilpAcc = acc1
-		flushLite2(t1, i, &cnt1, specPend1)
+	c.prio = prio
+	for j := range act {
+		act[j].sync()
+		act[j].flush(i)
 	}
 	return i
 }
@@ -883,40 +421,11 @@ func (cnt *liteCounters) countStall(cause int) {
 	}
 }
 
-// flushLite writes one thread's accumulated counters to its bank and
-// instance — the event-free generic tier's flush, whose frontend stalls all
-// share the span-constant kind in t.feKind.
-func flushLite(t *thread, n uint64, cnt *liteCounters) {
-	b := t.bank
-	b.Add(pmu.CPUCycles, n)
-	if cnt.spec > 0 {
-		b.Add(pmu.InstSpec, cnt.spec)
-	}
-	if cnt.ret > 0 {
-		b.Add(pmu.InstRetired, cnt.ret)
-		t.inst.Retired += cnt.ret
-	}
-	if cnt.feCnt > 0 {
-		b.Add(pmu.StallFrontend, cnt.feCnt)
-		if t.feKind == evICache {
-			b.Add(pmu.StallFEICache, cnt.feCnt)
-		} else {
-			b.Add(pmu.StallFEBranch, cnt.feCnt)
-		}
-	}
-	flushBackend(t, cnt)
-	if cnt.spec > 0 {
-		// INST_SPEC counts exactly the dispatched µops, so it doubles as
-		// the phase-advancement total.
-		t.inst.AdvanceDispatched(cnt.spec)
-	}
-}
-
-// flushLite2 is the SMT2 inline-event tier's flush: frontend stalls are
-// split by cause counter (a span can cover stalls of both kinds), and only
-// the still-pending dispatched count — the tail since the last inline phase
-// sync — feeds AdvanceDispatched.
-func flushLite2(t *thread, n uint64, cnt *liteCounters, pending uint64) {
+// flush writes the thread's accumulated counters over an n-cycle span to its
+// bank and instance; only the still-pending dispatched count — the tail
+// since the last inline phase sync — feeds AdvanceDispatched.
+func (st *liteState) flush(n uint64) {
+	t, cnt := st.t, &st.cnt
 	b := t.bank
 	b.Add(pmu.CPUCycles, n)
 	if cnt.spec > 0 {
@@ -935,38 +444,36 @@ func flushLite2(t *thread, n uint64, cnt *liteCounters, pending uint64) {
 			b.Add(pmu.StallFEBranch, cnt.feBCnt)
 		}
 	}
-	flushBackend(t, cnt)
-	if pending > 0 {
-		t.inst.AdvanceDispatched(pending)
+	if be := cnt.slotsCnt + cnt.robCnt + cnt.ldqCnt + cnt.stqCnt +
+		cnt.iqCnt + cnt.otherCnt + cnt.memLatCnt; be > 0 {
+		b.Add(pmu.StallBackend, be)
+		if cnt.memLatCnt > 0 {
+			b.Add(pmu.StallBEMemLat, cnt.memLatCnt)
+		}
+		if cnt.slotsCnt > 0 {
+			b.Add(pmu.StallBESlots, cnt.slotsCnt)
+		}
+		if cnt.robCnt > 0 {
+			b.Add(pmu.StallBEROB, cnt.robCnt)
+		}
+		if cnt.iqCnt > 0 {
+			b.Add(pmu.StallBEIQ, cnt.iqCnt)
+		}
+		if cnt.ldqCnt > 0 {
+			b.Add(pmu.StallBELDQ, cnt.ldqCnt)
+		}
+		if cnt.stqCnt > 0 {
+			b.Add(pmu.StallBESTQ, cnt.stqCnt)
+		}
 	}
+	st.advance()
 }
 
-// flushBackend writes the accumulated backend-stall counters shared by both
-// flush variants.
-func flushBackend(t *thread, cnt *liteCounters) {
-	b := t.bank
-	be := cnt.slotsCnt + cnt.robCnt + cnt.ldqCnt + cnt.stqCnt +
-		cnt.iqCnt + cnt.otherCnt + cnt.memLatCnt
-	if be == 0 {
-		return
-	}
-	b.Add(pmu.StallBackend, be)
-	if cnt.memLatCnt > 0 {
-		b.Add(pmu.StallBEMemLat, cnt.memLatCnt)
-	}
-	if cnt.slotsCnt > 0 {
-		b.Add(pmu.StallBESlots, cnt.slotsCnt)
-	}
-	if cnt.robCnt > 0 {
-		b.Add(pmu.StallBEROB, cnt.robCnt)
-	}
-	if cnt.iqCnt > 0 {
-		b.Add(pmu.StallBEIQ, cnt.iqCnt)
-	}
-	if cnt.ldqCnt > 0 {
-		b.Add(pmu.StallBELDQ, cnt.ldqCnt)
-	}
-	if cnt.stqCnt > 0 {
-		b.Add(pmu.StallBESTQ, cnt.stqCnt)
+// advance feeds the dispatched instructions counted since the last phase
+// sync to AdvanceDispatched.
+func (st *liteState) advance() {
+	if d := st.cnt.spec - st.adv; d > 0 {
+		st.t.inst.AdvanceDispatched(d)
+		st.adv = st.cnt.spec
 	}
 }
