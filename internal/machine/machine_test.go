@@ -222,6 +222,9 @@ func TestRunErrors(t *testing.T) {
 	if _, err := m.Run(nModels(9), make([]uint64, 9), staticPolicy{}, RunnerOptions{}); err == nil {
 		t.Fatal("oversubscription accepted")
 	}
+	if _, err := m.Run(nModels(2), make([]uint64, 2), nil, RunnerOptions{}); err == nil {
+		t.Fatal("nil policy accepted")
+	}
 }
 
 type badPolicy struct{ wrongLen bool }

@@ -1,10 +1,12 @@
-// DynRunner is the open-system engine of RunDynamic factored into explicit
+// DynRunner is the repository's one quantum engine, factored into explicit
 // steps — Arrive, BeginSlice, Cut, StepPlanned, FinishSlice, SkipTo — so a
 // cluster coordinator (internal/fleet) can interleave many machines on one
-// global event clock. RunDynamic drives a single runner through exactly the
-// historical loop, bit for bit (pinned by the golden digests in
-// internal/regression); the fleet drives hundreds, cutting and planning
-// slices lazily at dispatch time.
+// global event clock. Three drivers run it: Run drives one runner over
+// closed-system jobs (all arrive at cycle 0 and relaunch on completion,
+// §V-B), RunDynamic over an open-system trace, and the fleet drives
+// hundreds, cutting and planning slices lazily at dispatch time. Every
+// driver reproduces its historical loop bit for bit (pinned by the golden
+// digests in internal/regression).
 //
 // The step protocol, per machine:
 //
@@ -22,7 +24,8 @@
 //	                        machines (it touches exclusively this
 //	                        machine's cores, instances and PMU banks)
 //	FinishSlice(out)        advance the clock to the plan end, collect
-//	                        PMU deltas and emit departures
+//	                        PMU deltas and emit departures (closed jobs:
+//	                        first completions, then relaunch)
 //	SkipTo(t)               fast-forward an idle machine
 //
 // Jobs are stored in recycled slots, so a runner's memory is O(hardware
@@ -35,6 +38,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 
 	"synpa/internal/admission"
 	"synpa/internal/apps"
@@ -103,9 +107,10 @@ type runnerSlot struct {
 	coreOf     int
 	admittedAt uint64
 	admitted   bool
+	launches   uint64 // closed jobs: target multiples completed so far
 }
 
-// DynRunner is one machine's step-wise open-system engine.
+// DynRunner is one machine's step-wise quantum engine.
 type DynRunner struct {
 	m      *Machine
 	policy Policy
@@ -141,6 +146,12 @@ type DynRunner struct {
 
 	planned bool
 	planEnd uint64
+
+	// closed selects the §V-B closed-job semantics for every job: a job
+	// passing a new multiple of its target is relaunched instead of
+	// departing (its first completion is still reported), and placements
+	// bind through bindClosed. Only Run sets it.
+	closed bool
 
 	// Observability (see internal/obs). mt is nil when tracing is off; rc
 	// is never nil but may be the disabled no-op set. cacheStats is the
@@ -437,7 +448,12 @@ func (r *DynRunner) BeginSlice(maxCycles uint64) error {
 	for i, si := range r.live {
 		r.slots[si].coreOf = place[i]
 	}
-	rebinds := r.bindLive(place)
+	var rebinds int
+	if r.closed {
+		rebinds = r.bindClosed(place)
+	} else {
+		rebinds = r.bindLive(place)
+	}
 	if r.mt != nil || r.rc.Enabled() {
 		r.observePlace(rebinds)
 	}
@@ -472,14 +488,26 @@ func (r *DynRunner) StepPlanned() {
 	if !r.planned {
 		panic("machine: StepPlanned without a planned slice")
 	}
+	// Only cores with a bound thread are stepped.
+	for c, bound := range r.bound {
+		r.busy[c] = false
+		for _, si := range bound {
+			if si >= 0 {
+				r.busy[c] = true
+				break
+			}
+		}
+	}
 	t0 := perfstat.PhaseClock()
-	r.m.runQuantumLive(r.bound, r.busy, r.planEnd-r.now)
+	r.m.stepCores(r.planEnd-r.now, r.busy)
 	perfstat.PhaseAdd(perfstat.PhaseSimulation, t0)
 }
 
 // FinishSlice advances the clock to the plan end, collects every live
 // job's PMU deltas and appends departures (true completion) to out,
-// in live order. The slice must have been stepped.
+// in live order. The slice must have been stepped. In a closed run
+// (DynRunner.closed) out receives each job's first completion instead, and
+// the job is relaunched and stays live.
 func (r *DynRunner) FinishSlice(out []JobOutcome) []JobOutcome {
 	if !r.planned {
 		panic("machine: FinishSlice without a planned slice")
@@ -512,7 +540,24 @@ func (r *DynRunner) FinishSlice(out []JobOutcome) []JobOutcome {
 	keep := r.live[:0]
 	for _, si := range r.live {
 		s := &r.slots[si]
-		if s.inst.Retired < s.app.Target {
+		if r.closed {
+			keep = append(keep, si)
+			// A zero target never completes; a new target multiple
+			// relaunches the program, and the first one is reported.
+			if s.app.Target == 0 {
+				continue
+			}
+			done := s.inst.Retired / s.app.Target
+			if done <= s.launches {
+				continue
+			}
+			first := s.launches == 0
+			s.launches = done
+			s.inst.Relaunch()
+			if !first {
+				continue
+			}
+		} else if s.inst.Retired < s.app.Target {
 			keep = append(keep, si)
 			continue
 		}
@@ -539,11 +584,13 @@ func (r *DynRunner) FinishSlice(out []JobOutcome) []JobOutcome {
 		if r.mt != nil {
 			r.mt.Emit(obs.Event{T: r.now, Op: obs.OpDepart, Core: -1, App: int64(s.id), Name: s.app.Model.Name, A: int64(o.ResponseCycles)})
 		}
+		if r.closed {
+			continue
+		}
 		if c := s.coreOf; c >= 0 {
 			for k, bsi := range r.bound[c] {
 				if bsi == si {
-					r.m.cores[c].Bind(k, nil, nil)
-					r.bound[c][k] = -1
+					r.setThread(c, k, -1)
 					break
 				}
 			}
@@ -623,8 +670,7 @@ func (r *DynRunner) bindLive(place Placement) int {
 				}
 			}
 			if !stay {
-				r.m.cores[c].Bind(s, nil, nil)
-				r.bound[c][s] = -1
+				r.setThread(c, s, -1)
 			}
 		}
 		// Place newcomers in the free threads.
@@ -634,8 +680,7 @@ func (r *DynRunner) bindLive(place Placement) int {
 			}
 			for s := 0; s < r.level; s++ {
 				if r.bound[c][s] < 0 {
-					r.m.cores[c].Bind(s, r.slots[want[k]].inst, r.slots[want[k]].bank)
-					r.bound[c][s] = want[k]
+					r.setThread(c, s, want[k])
 					rebinds++
 					break
 				}
@@ -643,6 +688,65 @@ func (r *DynRunner) bindLive(place Placement) int {
 		}
 	}
 	return rebinds
+}
+
+// bindClosed is the closed-system bind step: a core whose set of jobs
+// changed rebinds all of its threads, occupants in live order, and a core
+// hosting the same set keeps its threads and pipeline state untouched. It
+// returns the number of threads that received a job — the placement's
+// rebind cost.
+func (r *DynRunner) bindClosed(place Placement) int {
+	rebinds := 0
+	want := make([]int, r.level)
+	for c, bound := range r.bound {
+		n, same := 0, true
+		for i, si := range r.live {
+			if place[i] == c && n < r.level {
+				want[n] = si
+				same = same && slices.Contains(bound, si)
+				n++
+			}
+		}
+		held := 0
+		for _, si := range bound {
+			if si >= 0 {
+				held++
+			}
+		}
+		if same && held == n {
+			continue
+		}
+		for s := range bound {
+			si := -1
+			if s < n {
+				si = want[s]
+			}
+			r.setThread(c, s, si)
+		}
+		rebinds += n
+	}
+	return rebinds
+}
+
+// setThread binds job slot si to core c's thread s, or unbinds the thread
+// when si is -1.
+func (r *DynRunner) setThread(c, s, si int) {
+	if si < 0 {
+		r.m.cores[c].Bind(s, nil, nil)
+	} else {
+		r.m.cores[c].Bind(s, r.slots[si].inst, r.slots[si].bank)
+	}
+	r.bound[c][s] = si
+}
+
+// lastSamples returns a fresh copy of every live job's PMU deltas over the
+// last finished slice, in live order — Run's RecordTrace row.
+func (r *DynRunner) lastSamples() []pmu.Counters {
+	out := make([]pmu.Counters, len(r.live))
+	for i, si := range r.live {
+		out[i] = r.slots[si].lastDelta
+	}
+	return out
 }
 
 // observePlace records one placement decision: place-call and rebind

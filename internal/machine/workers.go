@@ -89,12 +89,12 @@ func (m *Machine) startPool() func() {
 	}
 }
 
-// stepCores executes one quantum slice on the cores — those marked in busy,
-// or all of them when busy is nil — sharded across the run's worker pool
-// (inline on the calling goroutine when the pool is off).
+// stepCores executes one quantum slice on the cores marked in busy, sharded
+// across the run's worker pool (inline on the calling goroutine when the
+// pool is off).
 func (m *Machine) stepCores(cycles uint64, busy []bool) {
 	m.pool.Run(len(m.cores), func(i int) {
-		if busy == nil || busy[i] {
+		if busy[i] {
 			m.cores[i].Run(cycles)
 		}
 	})

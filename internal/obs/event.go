@@ -3,7 +3,13 @@ package obs
 // Op identifies what an Event records.
 type Op uint8
 
-// The instrumented decision points, in lifecycle order.
+// The instrumented decision points, in lifecycle order. Closed-system runs
+// (machine.Run) emit the same lifecycle as open ones: every application
+// arrives and is admitted at t=0, so their traces open with arrive, admit
+// and queue events; place events carry the policy's predcache deltas; each
+// application's first completion is a depart event although the
+// application relaunches and stays live (§V-B); and their run counters
+// include jobs.* and admission.queue_depth.
 const (
 	// OpArrive: a job reached a machine's arrival queue. T is the
 	// dispatch cycle, App the job ID, A the trace arrival cycle.
@@ -25,7 +31,8 @@ const (
 	// core's fast-forward tiers bulk-skipped during the slice.
 	OpExec
 	// OpDepart: a job completed. T is the completion cycle, App the job
-	// ID, A the response cycles (completion − arrival).
+	// ID, A the response cycles (completion − arrival). In a closed run it
+	// marks the first completion only; the job relaunches and stays live.
 	OpDepart
 	// OpDispatch: the fleet chose a machine for an arrival. T is the
 	// arrival cycle, Machine the chosen machine, App the job ID, A the

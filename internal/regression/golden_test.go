@@ -201,11 +201,12 @@ func TestGoldenDigestsUnchangedWithSharedCache(t *testing.T) {
 // zero-perturbation claim at the digest level: running a golden experiment
 // with a live observer attached must reproduce the committed digest bit
 // for bit, while actually collecting events. The dynamic table exercises
-// the instrumented DynRunner lifecycle end to end; tracing forces a serial
-// suite (the event trace is not parallel-safe — see experiments.Config.Obs).
+// the instrumented DynRunner lifecycle of open-system jobs, fig5 the same
+// runner driving closed-system runs; tracing forces a serial suite (the
+// event trace is not parallel-safe — see experiments.Config.Obs).
 func TestGoldenDigestsUnchangedWithTracing(t *testing.T) {
 	if testing.Short() {
-		t.Skip("runs the dynamic golden experiment; skipped in -short")
+		t.Skip("runs the dynamic and fig5 golden experiments; skipped in -short")
 	}
 	buf, err := os.ReadFile(filepath.Join("testdata", "golden.json"))
 	if err != nil {
@@ -216,23 +217,36 @@ func TestGoldenDigestsUnchangedWithTracing(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cfg := goldenConfig()
-	cfg.Parallel = false
-	cfg.Obs = obs.NewObserver(0)
-	s := experiments.NewSuite(cfg)
-	tab, err := s.DynamicTable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sum := sha256.Sum256([]byte(tab.String()))
-	if got := hex.EncodeToString(sum[:]); got != want.Digests["dynamic"] {
-		t.Fatalf("tracing perturbed the dynamic digest\n  committed: %s\n  got:       %s\n%s",
-			want.Digests["dynamic"], got, tab.String())
-	}
-	if len(cfg.Obs.Trace.Events()) == 0 {
-		t.Fatal("observer attached but no events collected — the pin is vacuous")
-	}
-	if cfg.Obs.Reg.Snapshot().Counters["jobs.completed"] == 0 {
-		t.Fatal("observer attached but no counters accrued")
+	for _, e := range []struct {
+		name string
+		run  func(*experiments.Suite) (*experiments.Table, error)
+	}{
+		{"dynamic", (*experiments.Suite).DynamicTable},
+		{"fig5", (*experiments.Suite).Fig5},
+	} {
+		t.Run(e.name, func(t *testing.T) {
+			cfg := goldenConfig()
+			cfg.Parallel = false
+			cfg.Obs = obs.NewObserver(0)
+			tab, err := e.run(experiments.NewSuite(cfg))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256([]byte(tab.String()))
+			if got := hex.EncodeToString(sum[:]); got != want.Digests[e.name] {
+				t.Fatalf("tracing perturbed the %s digest\n  committed: %s\n  got:       %s\n%s",
+					e.name, want.Digests[e.name], got, tab.String())
+			}
+			ops := map[obs.Op]int{}
+			for _, ev := range cfg.Obs.Trace.Events() {
+				ops[ev.Op]++
+			}
+			if ops[obs.OpPlace] == 0 || ops[obs.OpExec] == 0 {
+				t.Fatalf("observer attached but place/exec events missing (%v) — the pin is vacuous", ops)
+			}
+			if cfg.Obs.Reg.Snapshot().Counters["jobs.completed"] == 0 {
+				t.Fatal("observer attached but no counters accrued")
+			}
+		})
 	}
 }
