@@ -3,8 +3,8 @@ package core
 // The reentrant policy path. A trained Policy is read-mostly after
 // construction: the model, the resolved options and the memo closures never
 // change. Everything that *does* mutate during a placement decision — the
-// estimate double buffer, the weight matrix, the smoothing history, the
-// grouping scratch and the cache handles — lives in an Arena, so one policy
+// estimate double buffer, the weight matrices, the smoothing history, the
+// group views and the cache handles — lives in an Arena, so one policy
 // can serve many concurrent PlaceR calls share-nothing: each request (or
 // serving goroutine) carries its own Arena, while the model and an optional
 // predcache.Shared are shared read-mostly underneath.
@@ -25,9 +25,9 @@ import (
 // is one arena per goroutine, many arenas per policy. Build one with
 // Policy.NewArena.
 //
-// The smoothing/hysteresis history (lastST, lastIDs, mates) is per-arena
-// on purpose: each serving stream tracks the machine it is deciding for,
-// so interleaved streams never blend each other's estimates.
+// The smoothing history (lastST, lastIDs) is per-arena on purpose: each
+// serving stream tracks the machine it is deciding for, so interleaved
+// streams never blend each other's estimates.
 type Arena struct {
 	// lastST caches the most recent ST estimates per application for
 	// smoothing, introspection and tests.
@@ -35,8 +35,6 @@ type Arena struct {
 	// lastIDs holds the stable app identities behind lastST's rows (see
 	// Policy docs: dynamic runs hand identities in AppIDs).
 	lastIDs []int
-	// mates is the reusable pairing view of the previous placement.
-	mates []int
 
 	// The estimate matrices double-buffer across quanta: the fresh
 	// estimates are built in the buffer lastST does not occupy, smoothed
@@ -45,19 +43,18 @@ type Arena struct {
 	estRows [2][][]float64
 	estBack [2][]float64
 	estCur  int
-	// wRows/wBack back the reusable pair-cost matrix. Only off-diagonal
-	// entries are ever written or read, and the backing array is zeroed at
-	// allocation, so the diagonal stays zero across reuses.
-	wRows [][]float64
-	wBack []float64
-	// meanBuf is the grouped path's reusable co-runner mean vector,
-	// filled its reusable row-completion scratch, and frac its reusable
-	// per-app fraction-row header slice.
-	meanBuf []float64
-	filled  []bool
-	frac    [][]float64
-	// load is fullyPlaced's reusable per-core occupancy count.
-	load []int
+	// w is Step 2's pair-cost matrix, pad its idle-padded SMT2 matching
+	// graph.
+	w, pad square
+	// frac holds the per-app fraction rows of a decision, mean the
+	// co-runner mean vector of Step 1.
+	frac [][]float64
+	mean []float64
+	// sizes, members and groups back the Groups view; cores is per-core
+	// scratch shared by Groups, fullyPlaced and placeGroups, which never
+	// run interleaved.
+	sizes, members, cores []int
+	groups                [][]int
 
 	// mws is the Blossom matcher's reusable working memory: the solver's
 	// O(n²) edge matrix is the dominant per-decision allocation, and
@@ -68,11 +65,12 @@ type Arena struct {
 	// memos, or onto the policy's shared memos.
 	inv  *predcache.Handle[predcache.Inversion]
 	pair *predcache.Handle[float64]
-	// mch memoizes whole Blossom matchings by the weight matrix's bit
-	// pattern. Always private — matchings are machine-local decisions
-	// keyed by full matrices, so sharing would buy little and cost shard
-	// lock traffic — and disabled together with the other memos.
-	mch *predcache.Handle[[]int]
+	// mch memoizes whole Step 3 solutions by machine shape and the weight
+	// matrix's bit pattern. Always private — co-schedules are
+	// machine-local decisions keyed by full matrices, so sharing would
+	// buy little and cost shard lock traffic — and disabled together with
+	// the other memos.
+	mch *predcache.Handle[[][]int]
 }
 
 // NewArena builds a fresh request arena: private memos when the policy has
@@ -90,7 +88,7 @@ func (p *Policy) initArena(a *Arena) {
 	}
 	a.inv = memos.Invert().Handle()
 	a.pair = memos.Pair().Handle()
-	a.mch = predcache.NewMemo[[]int](p.opt.Cache, 1).Handle()
+	a.mch = predcache.NewMemo[[][]int](p.opt.Cache, 1).Handle()
 }
 
 // CacheStats returns the arena's own memo traffic (its handle-local counts
@@ -165,20 +163,35 @@ func (a *Arena) newEstMatrix(n, k int) [][]float64 {
 	return rows
 }
 
-// wMatrix returns the arena's reusable total×total pair-cost matrix with a
-// zeroed diagonal; callers overwrite every off-diagonal entry.
-func (a *Arena) wMatrix(total int) [][]float64 {
-	if cap(a.wBack) < total*total || cap(a.wRows) < total {
-		a.wBack = make([]float64, total*total)
-		a.wRows = make([][]float64, total)
+// square is a reusable n×n matrix with a zeroed diagonal; callers
+// overwrite every off-diagonal entry.
+type square struct {
+	rows [][]float64
+	back []float64
+}
+
+func (s *square) get(n int) [][]float64 {
+	if cap(s.back) < n*n || cap(s.rows) < n {
+		s.back = make([]float64, n*n)
+		s.rows = make([][]float64, n)
 	}
-	back := a.wBack[:total*total]
-	rows := a.wRows[:total]
-	for i := 0; i < total; i++ {
-		rows[i] = back[i*total : (i+1)*total : (i+1)*total]
+	rows := s.rows[:n]
+	for i := range rows {
+		rows[i] = s.back[i*n : (i+1)*n : (i+1)*n]
 		rows[i][i] = 0
 	}
 	return rows
+}
+
+// coreScratch returns the arena's zeroed per-core scratch of numCores
+// entries.
+func (a *Arena) coreScratch(numCores int) []int {
+	if cap(a.cores) < numCores {
+		a.cores = make([]int, numCores)
+	}
+	a.cores = a.cores[:numCores]
+	clear(a.cores)
+	return a.cores
 }
 
 // prevEstimate finds the previous quantum's ST estimate for a stable app

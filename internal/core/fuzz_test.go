@@ -6,6 +6,7 @@ import (
 
 	"synpa/internal/machine"
 	"synpa/internal/pmu"
+	"synpa/internal/xrand"
 )
 
 // FuzzReadModelJSON checks the model loader on arbitrary bytes: the input
@@ -41,6 +42,63 @@ func FuzzReadModelJSON(f *testing.F) {
 		}
 		if got := p.PlaceR(p.NewArena(), st); got.Validate(st.NumCores, 2) != nil {
 			t.Fatalf("infeasible placement %v", got)
+		}
+	})
+}
+
+// FuzzPlaceR checks PlaceR's invariant on arbitrary query shapes at SMT
+// levels 1–4: any Prev (over-full, longer or shorter than the live set,
+// Unplaced or off-machine entries), any Samples length and random samples.
+// PlaceR must never panic, and whenever the live set fits the machine
+// (n ≤ cores·level) it must answer a placement of length n that passes
+// Placement.Validate. Each prev byte is one Prev entry, read as a signed
+// core index modulo cores+2; an empty prev is a cold query.
+func FuzzPlaceR(f *testing.F) {
+	// (level, cores, n, prev, samples, seed, matcher, hysteresis)
+	f.Add(uint8(2), uint8(2), uint8(3), []byte{0, 0, 1, 1}, uint8(3), uint64(1), uint8(0), true)
+	f.Add(uint8(4), uint8(2), uint8(3), []byte{0, 0, 1, 1}, uint8(3), uint64(1), uint8(0), true)
+	f.Add(uint8(2), uint8(2), uint8(3), []byte{0, 0, 1}, uint8(2), uint64(2), uint8(0), true)
+	f.Add(uint8(2), uint8(2), uint8(4), []byte{0, 0, 0, 0}, uint8(4), uint64(3), uint8(0), true)
+	f.Add(uint8(2), uint8(2), uint8(4), []byte{1, 1, 1, 0}, uint8(4), uint64(4), uint8(1), true)
+	f.Add(uint8(4), uint8(2), uint8(5), []byte{0, 0, 0, 0, 0}, uint8(5), uint64(5), uint8(0), true)
+	f.Add(uint8(3), uint8(3), uint8(7), []byte{0, 0, 1, 0xff, 2, 2, 5}, uint8(7), uint64(6), uint8(2), false)
+	f.Add(uint8(1), uint8(4), uint8(4), []byte{0, 1, 2, 3}, uint8(4), uint64(7), uint8(0), true)
+
+	var policies [3]*Policy
+	for m := range policies {
+		policies[m] = MustPolicy(PaperCoefficients(), PolicyOptions{Matcher: Matcher(m)})
+	}
+	noHyst := MustPolicy(PaperCoefficients(), PolicyOptions{Hysteresis: -1})
+	f.Fuzz(func(t *testing.T, level, cores, n uint8, prev []byte, samples uint8, seed uint64, matcher uint8, hyst bool) {
+		L, c := 1+int(level%4), 1+int(cores%6)
+		st := &machine.QuantumState{
+			NumApps: int(n) % (c*L + 3), NumCores: c, SMTLevel: L, DispatchWidth: 4,
+		}
+		if len(prev) > 0 {
+			st.Prev = make(machine.Placement, len(prev))
+			for i, b := range prev {
+				st.Prev[i] = int(int8(b)) % (c + 2)
+			}
+		}
+		rng := xrand.New(seed)
+		st.Samples = make([]pmu.Counters, int(samples)%(st.NumApps+2))
+		for i := range st.Samples {
+			stalls := uint64(rng.Intn(9_000))
+			fe := uint64(float64(stalls) * rng.Float64())
+			st.Samples[i] = sampleWith(10_000, uint64(rng.Intn(12_000)), fe, stalls-fe)
+		}
+		p := policies[int(matcher)%len(policies)]
+		if !hyst {
+			p = noHyst
+		}
+		got := p.PlaceR(p.NewArena(), st)
+		if st.NumApps <= c*L {
+			if len(got) != st.NumApps {
+				t.Fatalf("placement %v has length %d, want %d", got, len(got), st.NumApps)
+			}
+			if err := got.Validate(c, L); err != nil {
+				t.Fatalf("infeasible placement %v: %v", got, err)
+			}
 		}
 	})
 }

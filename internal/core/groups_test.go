@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -24,48 +23,8 @@ func randSamples(rng *xrand.RNG, n int) []pmu.Counters {
 	return out
 }
 
-// TestForceGroupingMatchesPairwise is the SMT2 regression differential of
-// the grouping subsystem: across multi-quantum sequences of random samples,
-// the policy routed through grouping.Partition (placeGrouped at level 2)
-// must produce exactly the placements of the classic blossom-matching path,
-// quantum for quantum — grouping at L = 2 reproduces blossom placements.
-func TestForceGroupingMatchesPairwise(t *testing.T) {
-	for _, n := range []int{5, 7, 8} { // odd counts exercise solo groups
-		for seed := uint64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("n=%d/seed=%d", n, seed), func(t *testing.T) {
-				pair := MustPolicy(PaperCoefficients(), PolicyOptions{})
-				grp := MustPolicy(PaperCoefficients(), PolicyOptions{})
-				ga := grp.NewArena()
-				rng := xrand.New(seed)
-				var prevPair, prevGrp machine.Placement
-				var samples []pmu.Counters
-				for q := 0; q < 25; q++ {
-					stPair := &machine.QuantumState{
-						Quantum: q, NumApps: n, NumCores: 4, DispatchWidth: 4,
-						Prev: prevPair, Samples: samples,
-					}
-					stGrp := &machine.QuantumState{
-						Quantum: q, NumApps: n, NumCores: 4, DispatchWidth: 4,
-						Prev: prevGrp, Samples: samples,
-					}
-					pp := pair.Place(stPair)
-					gp := grp.placeGrouped(ga, stGrp, 2)
-					if !reflect.DeepEqual(pp, gp) {
-						t.Fatalf("quantum %d: pairwise %v != grouped %v", q, pp, gp)
-					}
-					if err := pp.Validate(4, 2); err != nil {
-						t.Fatalf("quantum %d: %v", q, err)
-					}
-					prevPair, prevGrp = pp, gp
-					samples = randSamples(rng, n)
-				}
-			})
-		}
-	}
-}
-
-// TestPlaceGroupedSMT4 drives the grouped path directly: 8 applications on
-// 2 SMT4 cores must fill both cores with quads, deterministically.
+// TestPlaceGroupedSMT4 pins the SMT4 set partition: 8 applications on 2
+// SMT4 cores must fill both cores with quads, deterministically.
 func TestPlaceGroupedSMT4(t *testing.T) {
 	mk := func() (*Policy, *machine.QuantumState) {
 		p := MustPolicy(PaperCoefficients(), PolicyOptions{})
@@ -117,7 +76,7 @@ func TestPlaceGroupedPartialOccupancy(t *testing.T) {
 
 // TestPlaceSMT1Singletons pins the SMT1 routing: the policy must never
 // co-locate two applications on a one-thread core, whatever the model
-// predicts, so level 1 runs the grouping path's forced singletons.
+// predicts, so level 1 solves Step 3 as grouping's forced singletons.
 func TestPlaceSMT1Singletons(t *testing.T) {
 	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
 	rng := xrand.New(17)
@@ -137,41 +96,13 @@ func TestPlaceSMT1Singletons(t *testing.T) {
 	}
 }
 
-// TestPlaceGroupedHysteresisSoloCost pins the solo-cost scale of the
-// grouped hysteresis: with a custom Grouping.SoloCost, the previous
-// placement's cost must be priced on the same scale as the fresh
-// partition's, or hysteresis pins the policy to Prev forever.
-func TestPlaceGroupedHysteresisSoloCost(t *testing.T) {
-	// Two cores at SMT4, three apps, previous placement all solo-ish:
-	// {0,1} paired and {2} solo. With SoloCost 3 the solo group is
-	// expensive, so merging everyone should clear any small hysteresis.
-	opts := PolicyOptions{Hysteresis: 0.01}
-	opts.Grouping.SoloCost = 3
-	p := MustPolicy(PaperCoefficients(), opts)
-	rng := xrand.New(23)
-	st := &machine.QuantumState{
-		Quantum: 1, NumApps: 3, NumCores: 3, DispatchWidth: 4, SMTLevel: 4,
-		Prev:    machine.Placement{0, 1, 2}, // three expensive solos under SoloCost 3
-		Samples: randSamples(rng, 3),
-	}
-	place := p.Place(st)
-	if err := place.Validate(3, 4); err != nil {
-		t.Fatal(err)
-	}
-	// Under SoloCost 3 the previous all-solo grouping costs 9 while any
-	// pairing costs ~2+3 < 9; a correctly scaled hysteresis must migrate.
-	if reflect.DeepEqual(place, st.Prev) {
-		t.Fatalf("hysteresis kept the all-solo placement despite SoloCost 3: %v", place)
-	}
-}
-
 // TestPlaceGroupsKeepsUnchangedGroups pins the migration-minimising
 // core assignment: a partition identical to the previous grouping must not
 // move anyone.
 func TestPlaceGroupsKeepsUnchangedGroups(t *testing.T) {
 	prev := machine.Placement{0, 0, 0, 0, 1, 1, 1, 1}
 	groups := [][]int{{0, 1, 2, 3}, {4, 5, 6, 7}}
-	place := placeGroups(groups, 8, 2, prev)
+	place := new(Arena).placeGroups(groups, 8, 2, prev)
 	for i := range prev {
 		if place[i] != prev[i] {
 			t.Fatalf("unnecessary migration: %v -> %v", prev, place)
@@ -179,7 +110,7 @@ func TestPlaceGroupsKeepsUnchangedGroups(t *testing.T) {
 	}
 	// Swapped groups across cores still land on a core a member held.
 	swapped := [][]int{{0, 1, 6, 7}, {2, 3, 4, 5}}
-	place = placeGroups(swapped, 8, 2, prev)
+	place = new(Arena).placeGroups(swapped, 8, 2, prev)
 	if err := place.Validate(2, 4); err != nil {
 		t.Fatal(err)
 	}

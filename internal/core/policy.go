@@ -1,18 +1,24 @@
 package core
 
+// The SYNPA policy (§IV-B): its options, its construction and PlaceR, the
+// one decision pipeline behind every SMT level. Step 1 inverts the
+// interference model on the last quantum's samples, Step 2 predicts every
+// pair's degradation, and Step 3 picks the cheapest co-schedule; only Step
+// 3's solver depends on the level (groups.go). Every mutable decision-time
+// structure lives in an Arena (arena.go).
+
 import (
 	"fmt"
 	"math"
 
 	"synpa/internal/grouping"
 	"synpa/internal/machine"
-	"synpa/internal/matching"
-	"synpa/internal/perfstat"
 	"synpa/internal/predcache"
 )
 
 // Matcher selects how the policy turns the pairwise degradation matrix into
-// a placement (the Step 3 of §IV-B).
+// a placement at SMT2 (the Step 3 of §IV-B); every other level solves
+// internal/grouping's set partition.
 type Matcher int
 
 const (
@@ -67,11 +73,6 @@ type PolicyOptions struct {
 	Hysteresis float64
 	// Inversion tunes the inversion solver; zero value uses defaults.
 	Inversion InversionOptions
-	// Grouping tunes the set-partition solver used when the machine runs
-	// more than two threads per core (internal/grouping); the zero value
-	// gives the production defaults (exact for small live sets, greedy +
-	// local search beyond).
-	Grouping grouping.Options
 	// Cache configures the interference-prediction memo layer
 	// (internal/predcache) behind the policy's Invert and PairDegradation
 	// evaluations. The zero value enables exact-key caching, which is
@@ -85,8 +86,9 @@ type PolicyOptions struct {
 // Policy is the SYNPA thread-to-core allocation policy (§IV-B). Every
 // quantum it estimates each application's ST behaviour by inverting the
 // interference model on the previous quantum's PMU samples, predicts the
-// degradation of every candidate pair with the forward model, and solves a
-// minimum-weight perfect matching to pick the most synergistic pairing.
+// degradation of every candidate pair with the forward model, and picks
+// the most synergistic co-schedule: a minimum-weight perfect matching at
+// SMT2, a minimum-cost set partition at any other level.
 //
 // A Policy is read-mostly after construction; every mutable decision-time
 // structure lives in an Arena (see arena.go). Place serves the classic
@@ -196,78 +198,64 @@ func (p *Policy) Place(st *machine.QuantumState) machine.Placement {
 
 // PlaceR is the reentrant placement decision: all mutable state lives in
 // the caller's arena, so any number of goroutines may call PlaceR on one
-// policy concurrently as long as each holds its own Arena. At SMT2 it runs
-// the paper's pipeline — pairwise inversion, pair-degradation prediction,
-// blossom matching; above SMT2 Step 3 becomes the weighted set-partition
-// of the follow-up policies, solved by internal/grouping over the same
-// pairwise degradation matrix.
+// policy concurrently as long as each holds its own Arena. It runs the
+// paper's pipeline at every SMT level; only Step 3's solver depends on the
+// level (see solve).
 func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
-	// Any level other than 2 routes through grouping: above 2 it solves
-	// the set partition, and at 1 it degenerates to forced singletons
-	// (the pairwise matcher could illegally co-locate two apps there).
-	if level := st.ThreadsPerCore(); level != 2 {
-		return p.placeGrouped(a, st, level)
-	}
-	if st.Samples == nil || st.Prev == nil {
-		return arrivalOrderPlacement(st.NumApps, st.NumCores)
+	n, level := st.NumApps, st.ThreadsPerCore()
+	if st.Samples == nil || st.Prev == nil || len(st.Samples) < n {
+		return arrivalOrderPlacement(n, st.NumCores)
 	}
 
-	n := st.NumApps
-	// Step 1: estimate each application's ST category vector. The pairing
-	// view is precomputed once per quantum instead of an O(n) CoMate scan
-	// per application, the estimate matrix is double-buffered across
-	// quanta, and inversions are memoized (internal/predcache): a cache
-	// hit implies bit-identical inputs, so the copied result is
-	// bit-identical to a fresh inversion.
-	a.mates = st.Prev.CoMates(a.mates)
+	// Step 1: estimate each application's ST category vector. An app
+	// running alone measured ST behaviour already; one sharing a core is
+	// inverted against its co-runners. At SMT2 a pair is one inversion
+	// filling both rows (Invert is not bitwise symmetric, so this is not
+	// two half-inversions); in larger groups each member is inverted
+	// against the mean of its co-runners, the pairwise model's first-order
+	// aggregate. An over-full Prev group (library input) is estimated
+	// alone. The estimate matrix is double-buffered across quanta and
+	// inversions are memoized (internal/predcache): a hit implies
+	// bit-identical inputs, so the copied result is bit-identical to a
+	// fresh inversion.
+	if cap(a.frac) < n {
+		a.frac = make([][]float64, n)
+	}
+	frac := a.frac[:n]
 	est := a.newEstMatrix(n, p.model.K())
-	for i := 0; i < n; i++ {
-		mate := -1
-		if i < len(a.mates) {
-			mate = a.mates[i]
+	for i := range frac {
+		frac[i] = p.opt.Extract(st.Samples[i], st.DispatchWidth)
+		copy(est[i], frac[i])
+		normalize(est[i])
+	}
+	before := a.Groups(st.Prev, n, st.NumCores)
+	for _, g := range before {
+		switch {
+		case p.opt.DisableInversion || len(g) == 1 || len(g) > level:
+			// Estimated alone: the normalised fractions stand.
+		case level == 2 && len(g) == 2:
+			inv := a.inv.Get(frac[g[0]], frac[g[1]], p.invertFn)
+			copy(est[g[0]], inv.A)
+			copy(est[g[1]], inv.B)
+		default:
+			if cap(a.mean) < len(frac[g[0]]) {
+				a.mean = make([]float64, len(frac[g[0]]))
+			}
+			mean := a.mean[:len(frac[g[0]])]
+			for _, i := range g {
+				CoRunnerMean(mean, frac, g, i)
+				copy(est[i], a.inv.Get(frac[i], mean, p.invertFn).A)
+			}
 		}
-		if mate >= 0 && a.mates[mate] != i {
-			// An over-full Prev (more than two apps on a core) gives an
-			// asymmetric co-mate relation. An app whose mate does not
-			// point back is estimated as running alone, so every row of
-			// est is written by this call.
-			mate = -1
-		}
-		if !p.opt.DisableInversion && mate >= 0 && mate < i {
-			continue // filled as the co-runner of an earlier index
-		}
-		fi := p.opt.Extract(st.Samples[i], st.DispatchWidth)
-		if mate < 0 || p.opt.DisableInversion {
-			// Running alone, its measurements are ST already; or the
-			// inversion ablation is active.
-			copy(est[i], fi)
-			normalize(est[i])
-			continue
-		}
-		fj := p.opt.Extract(st.Samples[mate], st.DispatchWidth)
-		inv := a.inv.Get(fi, fj, p.invertFn)
-		copy(est[i], inv.A)
-		copy(est[mate], inv.B)
 	}
 	p.smoothAndRemember(a, st, est)
 
-	// Step 2: predict the degradation of every candidate pair; pad with
-	// virtual idle applications so the matching is always perfect. A real
-	// application paired with an idle slot runs at ST speed (cost 1). The
-	// matrix is reused across quanta and predictions are memoized.
-	total := st.NumCores * 2
-	w := a.wMatrix(total)
-	for i := 0; i < total; i++ {
-		for j := i + 1; j < total; j++ {
-			var cost float64
-			switch {
-			case i < n && j < n:
-				cost = a.pair.Get(est[i], est[j], p.pairFn)
-			case i < n || j < n:
-				cost = 1 // real app running alone
-			default:
-				cost = 0 // empty core
-			}
+	// Step 2: predict the degradation of every candidate pair. The matrix
+	// is reused across quanta and predictions are memoized.
+	w := a.w.get(n)
+	for i := 0; i < n; i++ {
+		for j := i + 1; j < n; j++ {
+			cost := a.pair.Get(est[i], est[j], p.pairFn)
 			if math.IsNaN(cost) || math.IsInf(cost, 0) {
 				cost = 1e6
 			}
@@ -275,41 +263,32 @@ func (p *Policy) PlaceR(a *Arena, st *machine.QuantumState) machine.Placement {
 		}
 	}
 
-	// Step 3: select the most synergistic pairing.
-	mate, err := p.match(a, w)
+	// Step 3: the cheapest co-schedule. The previous placement is reusable
+	// only when every app has a core and no core is over-full.
+	groups, err := p.solve(a, w, st.NumCores, level)
+	reusable := a.fullyPlaced(st.Prev, n, st.NumCores, level)
 	if err != nil {
-		// Matching cannot fail on a finite complete graph; if it somehow
-		// does, keep the previous placement rather than crash the
-		// manager (only if every app already has a core — under dynamic
-		// occupancy a fresh arrival does not).
-		if a.fullyPlaced(st.Prev, st.NumCores, 2) {
-			return st.Prev.Clone()
+		// Solving cannot fail on a feasible live set; if it somehow does,
+		// keep the previous placement rather than crash the manager.
+		if reusable {
+			return st.Prev[:n].Clone()
 		}
 		return arrivalOrderPlacement(n, st.NumCores)
 	}
-
-	// Hysteresis: only migrate when the predicted gain is material.
-	if p.opt.Hysteresis > 0 && a.fullyPlaced(st.Prev, st.NumCores, 2) {
-		prevCost, ok := pairingCost(w, a.mates, n)
-		if ok {
-			newCost := 0.0
-			for i, m := range mate {
-				if m > i {
-					newCost += w[i][m]
-				}
-			}
-			if prevCost-newCost < p.opt.Hysteresis*prevCost {
-				return st.Prev.Clone()
-			}
+	// Hysteresis: only migrate when the predicted gain is material. Both
+	// groupings are canonical, so they are priced in the same order.
+	if p.opt.Hysteresis > 0 && reusable {
+		prevCost := grouping.PartitionCost(w, before)
+		if prevCost-grouping.PartitionCost(w, groups) < p.opt.Hysteresis*prevCost {
+			return st.Prev[:n].Clone()
 		}
 	}
-
-	return placePairs(mate, n, st.NumCores, st.Prev)
+	return a.placeGroups(groups, n, st.NumCores, st.Prev)
 }
 
 // smoothAndRemember applies the identity-aware exponential smoothing to the
 // fresh ST estimates and records them (with their stable identities) in the
-// arena for the next quantum. Shared by the pairwise and grouped paths.
+// arena for the next quantum.
 func (p *Policy) smoothAndRemember(a *Arena, st *machine.QuantumState, est [][]float64) {
 	if s := p.opt.Smoothing; s > 0 && a.lastST != nil {
 		for i := range est {
@@ -339,17 +318,16 @@ func appID(st *machine.QuantumState, i int) int {
 	return i
 }
 
-// fullyPlaced reports whether every application in p has a real core and no
-// core holds more than level of them — i.e. the placement is feasible and
+// fullyPlaced reports whether each of the n applications has a real core in
+// p and no core holds more than level of them — i.e. p[:n] is feasible and
 // reusable as-is for the next quantum. An over-full Prev from a library
 // caller therefore never comes back as the answer.
-func (a *Arena) fullyPlaced(p machine.Placement, numCores, level int) bool {
-	if cap(a.load) < numCores {
-		a.load = make([]int, numCores)
+func (a *Arena) fullyPlaced(p machine.Placement, n, numCores, level int) bool {
+	if n == 0 || len(p) < n {
+		return false
 	}
-	load := a.load[:numCores]
-	clear(load)
-	for _, c := range p {
+	load := a.coreScratch(numCores)
+	for _, c := range p[:n] {
 		if c < 0 || c >= numCores {
 			return false
 		}
@@ -357,59 +335,7 @@ func (a *Arena) fullyPlaced(p machine.Placement, numCores, level int) bool {
 			return false
 		}
 	}
-	return len(p) > 0
-}
-
-// pairingCost evaluates a placement's total cost under the current weight
-// matrix (including the implicit idle partners of solo apps), given the
-// placement's precomputed pairing view. ok is false when the placement is
-// unusable.
-func pairingCost(w [][]float64, mates []int, n int) (float64, bool) {
-	if len(mates) < n {
-		return 0, false
-	}
-	cost := 0.0
-	for i := 0; i < n; i++ {
-		j := mates[i]
-		switch {
-		case j < 0:
-			cost += 1 // solo app runs at ST speed
-		case j > i:
-			cost += w[i][j]
-		}
-	}
-	return cost, true
-}
-
-// match dispatches to the configured matcher, accruing the solver time to
-// the perfstat matching phase when collection is on. The Blossom solver
-// runs through the arena's reusable workspace — identical matchings,
-// amortised solver memory.
-func (p *Policy) match(a *Arena, w [][]float64) ([]int, error) {
-	t0 := perfstat.PhaseClock()
-	defer perfstat.PhaseAdd(perfstat.PhaseMatching, t0)
-	switch p.opt.Matcher {
-	case MatcherBruteForce:
-		mate, _, err := matching.BruteForceMinWeightPerfect(w)
-		return mate, err
-	case MatcherGreedy:
-		return greedyMatch(w), nil
-	default:
-		// Odd live-app counts are handled before matching ever runs: Place
-		// pads the weight matrix to NumCores*2 vertices with virtual idle
-		// slots (cost 1 against real apps), so this graph is always even
-		// and one app can pair with an idle slot to run solo.
-		// MinWeightMatching additionally tolerates odd matrices (zero-
-		// weight phantom vertex) for callers that skip the padding.
-		// The whole matching is memoized by the matrix's bit pattern:
-		// hysteresis holds co-runner sets (and with them the pair-memoized
-		// weight matrices) stable for long stretches, so steady state
-		// answers the O(n³) solve with a hash lookup.
-		return a.mch.GetMatrix(w, func(w [][]float64) ([]int, error) {
-			mate, _, err := a.mws.MinWeightMatching(w)
-			return mate, err
-		})
-	}
+	return true
 }
 
 // greedyMatch repeatedly pairs the lightest remaining edge.
@@ -447,75 +373,4 @@ func arrivalOrderPlacement(numApps, numCores int) machine.Placement {
 		p[i] = i % numCores
 	}
 	return p
-}
-
-// placePairs maps matched pairs onto cores, preferring each pair's previous
-// core to minimise migrations (a pair that stays put keeps its pipeline
-// state).
-func placePairs(mate []int, numApps, numCores int, prev machine.Placement) machine.Placement {
-	place := make(machine.Placement, numApps)
-	for i := range place {
-		place[i] = -1
-	}
-	usedCore := make([]bool, numCores)
-
-	type pair struct{ a, b int } // b == -1 for a solo app
-	var pairs []pair
-	for i, m := range mate {
-		if i >= numApps {
-			continue
-		}
-		switch {
-		case m >= numApps || m < 0:
-			pairs = append(pairs, pair{i, -1})
-		case m > i:
-			pairs = append(pairs, pair{i, m})
-		}
-	}
-
-	// First pass: pairs that can stay on a previous core of one member.
-	assigned := make([]bool, len(pairs))
-	for pi, pr := range pairs {
-		for _, member := range []int{pr.a, pr.b} {
-			if member < 0 || member >= len(prev) {
-				continue
-			}
-			c := prev[member]
-			if c >= 0 && c < numCores && !usedCore[c] {
-				place[pr.a] = c
-				if pr.b >= 0 {
-					place[pr.b] = c
-				}
-				usedCore[c] = true
-				assigned[pi] = true
-				break
-			}
-		}
-	}
-	// Second pass: remaining pairs take any free core.
-	next := 0
-	for pi, pr := range pairs {
-		if assigned[pi] {
-			continue
-		}
-		for next < numCores && usedCore[next] {
-			next++
-		}
-		if next >= numCores {
-			break // cannot happen: pairs <= cores
-		}
-		place[pr.a] = next
-		if pr.b >= 0 {
-			place[pr.b] = next
-		}
-		usedCore[next] = true
-	}
-	// Defensive: any unplaced app (impossible in normal operation) goes to
-	// core 0's first free slot.
-	for i := range place {
-		if place[i] < 0 {
-			place[i] = 0
-		}
-	}
-	return place
 }

@@ -97,11 +97,11 @@ func TestPlacePairsComplementaryApps(t *testing.T) {
 }
 
 func TestPlacePairsKeepsUnchangedPairingInPlace(t *testing.T) {
-	// When the matching reproduces the previous pairing, placePairs must
+	// When the matching reproduces the previous pairing, placeGroups must
 	// not migrate anyone: pairs stay on their previous cores.
 	prev := machine.Placement{0, 0, 1, 1}
-	mate := []int{1, 0, 3, 2} // identical pairing
-	place := placePairs(mate, 4, 2, prev)
+	pairs := [][]int{{0, 1}, {2, 3}} // identical pairing
+	place := new(Arena).placeGroups(pairs, 4, 2, prev)
 	for i := range prev {
 		if place[i] != prev[i] {
 			t.Fatalf("unnecessary migration: %v -> %v", prev, place)
@@ -113,8 +113,8 @@ func TestPlacePairsReassignsChangedPairs(t *testing.T) {
 	// Swapped partners: every pair should land on a core one of its
 	// members occupied before, with no core hosting two pairs.
 	prev := machine.Placement{0, 0, 1, 1}
-	mate := []int{3, 2, 1, 0} // pairs (0,3), (1,2)
-	place := placePairs(mate, 4, 2, prev)
+	pairs := [][]int{{0, 3}, {1, 2}}
+	place := new(Arena).placeGroups(pairs, 4, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestPlacePairsReassignsChangedPairs(t *testing.T) {
 }
 
 func TestPlacePairsHandlesSoloAndEmpty(t *testing.T) {
-	// 3 real apps + virtual idles on 2 cores: mate pairs app 2 with a
-	// virtual idle slot (index >= numApps).
+	// 3 real apps on 2 cores: (0,1) a real pair, app 2 matched with an
+	// idle slot, i.e. solo.
 	prev := machine.Placement{0, 0, 1}
-	mate := []int{1, 0, 3, 2} // (0,1) real pair; app 2 with virtual 3
-	place := placePairs(mate, 3, 2, prev)
+	pairs := [][]int{{0, 1}, {2}}
+	place := new(Arena).placeGroups(pairs, 3, 2, prev)
 	if err := place.Validate(2, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -268,10 +268,7 @@ func TestOverfullPrevNeverReturned(t *testing.T) {
 		st := &machine.QuantumState{NumApps: 4, NumCores: 2, DispatchWidth: 4, Prev: prev, Samples: samples}
 		p := MustPolicy(PaperCoefficients(), PolicyOptions{})
 		if got := p.PlaceR(p.NewArena(), st); got.Validate(2, 2) != nil {
-			t.Errorf("pairwise path: prev %v answered infeasible %v", prev, got)
-		}
-		if got := p.placeGrouped(p.NewArena(), st, 2); got.Validate(2, 2) != nil {
-			t.Errorf("grouped path at SMT2: prev %v answered infeasible %v", prev, got)
+			t.Errorf("SMT2: prev %v answered infeasible %v", prev, got)
 		}
 	}
 	// SMT4: five apps stacked on core 0 of two cores.
@@ -282,7 +279,7 @@ func TestOverfullPrevNeverReturned(t *testing.T) {
 	}
 	p := MustPolicy(PaperCoefficients(), PolicyOptions{})
 	if got := p.PlaceR(p.NewArena(), st); got.Validate(2, 4) != nil {
-		t.Errorf("grouped path at SMT4: answered infeasible %v", got)
+		t.Errorf("SMT4: answered infeasible %v", got)
 	}
 }
 
@@ -320,5 +317,32 @@ func TestOverfullPrevIgnoresArenaHistory(t *testing.T) {
 	}
 	if err := want.Validate(2, 2); err != nil {
 		t.Fatalf("over-full prev answered infeasible %v: %v", want, err)
+	}
+}
+
+// TestPlaceRMalformedQueryShapes feeds PlaceR a Prev longer than the live
+// set and a Samples slice shorter than it. Prev entries beyond NumApps
+// belong to no live application and are ignored; a short Samples carries no
+// measurement for some app, so the decision is cold (arrival order). Both
+// used to index past the live set and panic.
+func TestPlaceRMalformedQueryShapes(t *testing.T) {
+	samples := []pmu.Counters{
+		sampleWith(9000, 12000, 500, 7600),
+		sampleWith(9000, 11000, 7500, 600),
+		sampleWith(9000, 12500, 400, 7800),
+	}
+	for _, level := range []int{2, 4} {
+		p := MustPolicy(PaperCoefficients(), PolicyOptions{})
+		long := &machine.QuantumState{NumApps: 3, NumCores: 2, SMTLevel: level, DispatchWidth: 4,
+			Prev: machine.Placement{0, 0, 1, 1}, Samples: samples}
+		got := p.PlaceR(p.NewArena(), long)
+		if len(got) != 3 || got.Validate(2, level) != nil {
+			t.Errorf("SMT%d, long Prev: answered %v", level, got)
+		}
+		short := &machine.QuantumState{NumApps: 3, NumCores: 2, SMTLevel: level, DispatchWidth: 4,
+			Prev: machine.Placement{0, 0, 1}, Samples: samples[:2]}
+		if got := p.PlaceR(p.NewArena(), short); !slices.Equal(got, arrivalOrderPlacement(3, 2)) {
+			t.Errorf("SMT%d, short Samples: answered %v, want the cold arrival order", level, got)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 // covers a mask's lowest set bit is chosen at each step; the answer is the
 // cheapest dp[g][full] over g <= maxGroups. Time is O(n · 2ⁿ · C(n, level−1))
 // and memory O(maxGroups · 2ⁿ), practical to n ≈ 16.
-func solveExact(w [][]float64, maxGroups, level int, solo float64) *Result {
+func solveExact(w [][]float64, maxGroups, level int) *Result {
 	n := len(w)
 	full := 1<<n - 1
 	sz := full + 1
@@ -53,7 +53,7 @@ func solveExact(w [][]float64, maxGroups, level int, solo float64) *Result {
 				s := sub | 1<<anchor
 				gc := cost
 				if sub == 0 {
-					gc = solo
+					gc = SoloCost
 				}
 				if prev := prevRow[mask&^s]; prev != inf {
 					if tot := prev + gc; tot < best {
@@ -100,5 +100,5 @@ func solveExact(w [][]float64, maxGroups, level int, solo float64) *Result {
 		groups = append(groups, grp)
 		mask &^= s
 	}
-	return finish(w, groups, solo, "exact")
+	return finish(w, groups, "exact")
 }

@@ -22,7 +22,7 @@ package grouping
 // knob.
 const localSearchRounds = 1000
 
-func solveGreedy(w [][]float64, maxGroups, level int, solo float64) *Result {
+func solveGreedy(w [][]float64, maxGroups, level int) *Result {
 	n := len(w)
 	bins := make([][]int, maxGroups)
 
@@ -33,7 +33,7 @@ func solveGreedy(w [][]float64, maxGroups, level int, solo float64) *Result {
 			if len(bins[b]) >= level {
 				continue
 			}
-			d := addDelta(w, bins[b], i, solo)
+			d := addDelta(w, bins[b], i)
 			if bestBin < 0 || d < best {
 				best, bestBin = d, b
 			}
@@ -47,7 +47,7 @@ func solveGreedy(w [][]float64, maxGroups, level int, solo float64) *Result {
 	// in the target bin, so the x ≠ a skip never fires there), and
 	// removeDelta's negated skip-one sum equals -sumTo because IEEE
 	// negation commutes with round-to-nearest ((0-w₁)-w₂-… ≡ -((w₁+w₂)+…)).
-	// The len-2 removeDelta case solo - w[p][q] matches solo - sumTo by the
+	// The len-2 removeDelta case SoloCost - w[p][q] matches SoloCost - sumTo by the
 	// matrix symmetry checkMatrix enforces.
 	sumTo := make([]float64, n*maxGroups)
 	refresh := func(b int) {
@@ -68,18 +68,18 @@ func solveGreedy(w [][]float64, maxGroups, level int, solo float64) *Result {
 	addD := func(b, i int) float64 {
 		switch len(bins[b]) {
 		case 0:
-			return solo
+			return SoloCost
 		case 1:
-			return sumTo[i*maxGroups+b] - solo
+			return sumTo[i*maxGroups+b] - SoloCost
 		}
 		return sumTo[i*maxGroups+b]
 	}
 	remD := func(b, a int) float64 {
 		switch len(bins[b]) {
 		case 1:
-			return -solo
+			return -SoloCost
 		case 2:
-			return solo - sumTo[a*maxGroups+b]
+			return SoloCost - sumTo[a*maxGroups+b]
 		}
 		return -sumTo[a*maxGroups+b]
 	}
@@ -134,19 +134,19 @@ func solveGreedy(w [][]float64, maxGroups, level int, solo float64) *Result {
 			refresh(mFrom)
 			refresh(mTo)
 		default:
-			return finish(w, bins, solo, "greedy")
+			return finish(w, bins, "greedy")
 		}
 	}
-	return finish(w, bins, solo, "greedy")
+	return finish(w, bins, "greedy")
 }
 
 // addDelta is the cost increase of adding app i to bin.
-func addDelta(w [][]float64, bin []int, i int, solo float64) float64 {
+func addDelta(w [][]float64, bin []int, i int) float64 {
 	switch len(bin) {
 	case 0:
-		return solo
+		return SoloCost
 	case 1:
-		return w[bin[0]][i] - solo
+		return w[bin[0]][i] - SoloCost
 	}
 	d := 0.0
 	for _, x := range bin {
@@ -156,13 +156,13 @@ func addDelta(w [][]float64, bin []int, i int, solo float64) float64 {
 }
 
 // removeDelta is the cost change of removing bin[ai] from bin.
-func removeDelta(w [][]float64, bin []int, ai int, solo float64) float64 {
+func removeDelta(w [][]float64, bin []int, ai int) float64 {
 	a := bin[ai]
 	switch len(bin) {
 	case 1:
-		return -solo
+		return -SoloCost
 	case 2:
-		return solo - w[bin[0]][bin[1]]
+		return SoloCost - w[bin[0]][bin[1]]
 	}
 	d := 0.0
 	for xi, x := range bin {

@@ -11,7 +11,7 @@ import (
 // production solveGreedy must reproduce bit-for-bit: identical seeding,
 // identical candidate scan order, and per-candidate deltas computed
 // directly from the weight matrix.
-func solveGreedyReference(w [][]float64, maxGroups, level int, solo float64) *Result {
+func solveGreedyReference(w [][]float64, maxGroups, level int) *Result {
 	n := len(w)
 	bins := make([][]int, maxGroups)
 	for i := 0; i < n; i++ {
@@ -20,7 +20,7 @@ func solveGreedyReference(w [][]float64, maxGroups, level int, solo float64) *Re
 			if len(bins[b]) >= level {
 				continue
 			}
-			d := addDelta(w, bins[b], i, solo)
+			d := addDelta(w, bins[b], i)
 			if bestBin < 0 || d < best {
 				best, bestBin = d, b
 			}
@@ -35,12 +35,12 @@ func solveGreedyReference(w [][]float64, maxGroups, level int, solo float64) *Re
 		for fb := range bins {
 			for ai := range bins[fb] {
 				a := bins[fb][ai]
-				rem := removeDelta(w, bins[fb], ai, solo)
+				rem := removeDelta(w, bins[fb], ai)
 				for tb := range bins {
 					if tb == fb || len(bins[tb]) >= level {
 						continue
 					}
-					if d := rem + addDelta(w, bins[tb], a, solo); d < bestDelta {
+					if d := rem + addDelta(w, bins[tb], a); d < bestDelta {
 						bestDelta, kind = d, 1
 						mA, mFrom, mTo = ai, fb, tb
 					}
@@ -67,10 +67,10 @@ func solveGreedyReference(w [][]float64, maxGroups, level int, solo float64) *Re
 		case 2:
 			bins[mFrom][mA], bins[mTo][mB] = bins[mTo][mB], bins[mFrom][mA]
 		default:
-			return finish(w, bins, solo, "greedy")
+			return finish(w, bins, "greedy")
 		}
 	}
-	return finish(w, bins, solo, "greedy")
+	return finish(w, bins, "greedy")
 }
 
 // randomMatrix builds a symmetric non-negative cost matrix in the
@@ -90,8 +90,8 @@ func randomMatrix(rng *xrand.RNG, n int) [][]float64 {
 }
 
 // TestGreedyIncrementalMatchesReference pins the incremental local search
-// to the direct reference implementation across sizes, levels and solo
-// costs: identical groups and bit-identical costs.
+// to the direct reference implementation across sizes, levels and group
+// counts: identical groups and bit-identical costs.
 func TestGreedyIncrementalMatchesReference(t *testing.T) {
 	rng := xrand.New(0xD1FF)
 	for _, n := range []int{3, 5, 8, 13, 21, 34, 48} {
@@ -101,8 +101,8 @@ func TestGreedyIncrementalMatchesReference(t *testing.T) {
 				mg := maxGroups + pad // pad adds slack bins (solo groups allowed)
 				for rep := 0; rep < 4; rep++ {
 					w := randomMatrix(rng, n)
-					got := solveGreedy(w, mg, level, DefaultSoloCost)
-					want := solveGreedyReference(w, mg, level, DefaultSoloCost)
+					got := solveGreedy(w, mg, level)
+					want := solveGreedyReference(w, mg, level)
 					if !reflect.DeepEqual(got.Groups, want.Groups) {
 						t.Fatalf("n=%d level=%d mg=%d rep=%d: groups diverge\n got %v\nwant %v",
 							n, level, mg, rep, got.Groups, want.Groups)

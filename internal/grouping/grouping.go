@@ -3,13 +3,14 @@
 // size at most L (the SMT level), minimising the summed intra-group
 // interference cost.
 //
-// At SMT2 the per-quantum allocation step is a minimum-weight perfect
-// matching (paper §IV-B Step 3, internal/matching); at SMT3/SMT4 it becomes
-// a weighted set-partition problem, the formulation of the paper's follow-up
-// ("A New Family of Thread to Core Allocation Policies for an SMT ARM
-// Processor", arXiv:2507.00855): a group's cost is the sum of the pairwise
-// predicted degradations of its members, so the pairwise interference model
-// keeps driving the decision while co-schedules grow beyond pairs.
+// At SMT2 the SYNPA policy's allocation step is a minimum-weight perfect
+// matching on an idle-padded graph (paper §IV-B Step 3, internal/matching,
+// run by core.Policy itself); at SMT3/SMT4 it becomes a weighted
+// set-partition problem, the formulation of the paper's follow-up ("A New
+// Family of Thread to Core Allocation Policies for an SMT ARM Processor",
+// arXiv:2507.00855): a group's cost is the sum of the pairwise predicted
+// degradations of its members, so the pairwise interference model keeps
+// driving the decision while co-schedules grow beyond pairs.
 //
 // Cost model. For a symmetric n×n matrix w of pairwise costs, a group g
 // costs
@@ -17,16 +18,17 @@
 //	cost(g) = SoloCost            if |g| == 1  (an app alone runs at ST speed)
 //	cost(g) = Σ_{i<j ∈ g} w[i][j] otherwise
 //
-// and a partition costs the sum over its groups. With L = 2 this is exactly
-// the objective of the blossom matcher on the idle-padded graph the SYNPA
-// policy builds, so Partition delegates to it there and the two agree by
-// construction (and by the differential tests).
+// and a partition costs the sum over its groups in canonical order
+// (PartitionCost). With L = 2 this is the objective of the policy's
+// padded-graph matching, which the tests use as the oracle for the exact
+// solver at that level.
 //
-// Solvers. Two deterministic solvers sit behind Partition:
+// Solvers. Two deterministic solvers sit behind Partition at every level
+// above 1 (level 1 forces singletons):
 //
 //   - an exact subset dynamic program over group bitmasks, O(n · 2ⁿ ·
-//     C(n, L−1)) time — practical to n ≈ 16 and the cross-validation
-//     oracle for the tests;
+//     C(n, L−1)) time — the auto choice up to 12 applications, practical
+//     to n ≈ 16, and the cross-validation oracle for the tests;
 //   - a greedy seeding plus steepest-descent local search (single-app moves
 //     and pairwise swaps) for larger n, whose cost the property tests bound
 //     from below by the exact optimum.
@@ -37,17 +39,15 @@ import (
 	"fmt"
 	"math"
 	"sort"
-
-	"synpa/internal/matching"
 )
 
-// DefaultSoloCost is the cost of a single-application group: the app runs at
-// its single-threaded speed, normalised degradation 1 — the same constant
-// the SYNPA policy assigns to a real-app/idle-slot pairing.
-const DefaultSoloCost = 1.0
+// SoloCost is the cost of a single-application group: the app runs at its
+// single-threaded speed, normalised degradation 1 — the same constant the
+// SYNPA policy assigns to a real-app/idle-slot pairing.
+const SoloCost = 1.0
 
-// DefaultMaxExactN is the largest n SolverAuto hands to the exact subset DP.
-const DefaultMaxExactN = 12
+// maxAutoExactN is the largest n SolverAuto hands to the exact subset DP.
+const maxAutoExactN = 12
 
 // maxExactHard bounds the exact DP outright: beyond 16 vertices the mask
 // tables stop fitting in reasonable memory.
@@ -67,8 +67,8 @@ var (
 type Solver int
 
 const (
-	// SolverAuto uses the exact DP up to Options.MaxExactN applications
-	// and the greedy + local-search solver beyond.
+	// SolverAuto uses the exact DP up to 12 applications and the
+	// greedy + local-search solver beyond.
 	SolverAuto Solver = iota
 	// SolverExact forces the exact subset DP.
 	SolverExact
@@ -93,23 +93,6 @@ func (s Solver) String() string {
 type Options struct {
 	// Solver selects the algorithm (default SolverAuto).
 	Solver Solver
-	// MaxExactN is the auto-solver's exact-DP size ceiling (default
-	// DefaultMaxExactN).
-	MaxExactN int
-	// SoloCost is the cost of a one-application group; zero selects
-	// DefaultSoloCost.
-	SoloCost float64
-}
-
-// ResolvedSoloCost returns the solo cost Partition will charge under these
-// options (SoloCost with the zero-value default applied). Callers comparing
-// external partitions against a Result's Cost — e.g. the policy's
-// hysteresis — must price solo groups with this same value.
-func (o Options) ResolvedSoloCost() float64 {
-	if o.SoloCost == 0 {
-		return DefaultSoloCost
-	}
-	return o.SoloCost
 }
 
 // Result is one partition.
@@ -120,8 +103,8 @@ type Result struct {
 	// Cost is the partition cost under the canonical summation order
 	// (PartitionCost), independent of the solver that produced it.
 	Cost float64
-	// Solver names the algorithm that produced the partition: "blossom"
-	// (the L = 2 delegation), "exact" or "greedy".
+	// Solver names the algorithm that produced the partition: "exact" or
+	// "greedy".
 	Solver string
 }
 
@@ -139,55 +122,43 @@ func Partition(w [][]float64, maxGroups, level int, opt Options) (*Result, error
 	if n > maxGroups*level {
 		return nil, fmt.Errorf("%w: %d applications, %d groups of <= %d", ErrInfeasible, n, maxGroups, level)
 	}
-	solo := opt.ResolvedSoloCost()
 	if n == 0 {
 		return &Result{Groups: nil, Cost: 0, Solver: "exact"}, nil
 	}
 
-	switch {
-	case level == 1:
+	if level == 1 {
 		// Only singletons are feasible; the partition is forced.
 		groups := make([][]int, n)
 		for i := range groups {
 			groups[i] = []int{i}
 		}
-		return finish(w, groups, solo, "exact"), nil
-	case level == 2:
-		// Delegate to the blossom matcher the SYNPA policy already uses:
-		// minimum-weight perfect matching on the idle-padded graph is
-		// exactly this objective (see the package comment).
-		return solveBlossom(w, maxGroups, solo)
-	}
-
-	maxExact := opt.MaxExactN
-	if maxExact <= 0 {
-		maxExact = DefaultMaxExactN
+		return finish(w, groups, "exact"), nil
 	}
 	switch opt.Solver {
 	case SolverExact:
 		if n > maxExactHard {
 			return nil, ErrTooLarge
 		}
-		return solveExact(w, maxGroups, level, solo), nil
+		return solveExact(w, maxGroups, level), nil
 	case SolverGreedy:
-		return solveGreedy(w, maxGroups, level, solo), nil
+		return solveGreedy(w, maxGroups, level), nil
 	default:
-		if n <= maxExact && n <= maxExactHard {
-			return solveExact(w, maxGroups, level, solo), nil
+		if n <= maxAutoExactN {
+			return solveExact(w, maxGroups, level), nil
 		}
-		return solveGreedy(w, maxGroups, level, solo), nil
+		return solveGreedy(w, maxGroups, level), nil
 	}
 }
 
-// CostOf returns one group's cost under w: soloCost for a singleton, the
-// sum of intra-group pairwise costs (members visited in ascending index
-// order) otherwise. An empty group costs nothing.
-func CostOf(w [][]float64, group []int, soloCost float64) float64 {
+// CostOf returns one group's cost under w: SoloCost for a singleton, the
+// sum of intra-group pairwise costs (members visited in storage order)
+// otherwise. An empty group costs nothing.
+func CostOf(w [][]float64, group []int) float64 {
 	switch len(group) {
 	case 0:
 		return 0
 	case 1:
-		return soloCost
+		return SoloCost
 	}
 	cost := 0.0
 	for a := 0; a < len(group); a++ {
@@ -198,12 +169,14 @@ func CostOf(w [][]float64, group []int, soloCost float64) float64 {
 	return cost
 }
 
-// PartitionCost sums CostOf over the groups in order — the canonical cost
-// every solver reports, so costs from different solvers compare bit-exactly.
-func PartitionCost(w [][]float64, groups [][]int, soloCost float64) float64 {
+// PartitionCost sums CostOf over the groups in order. Over canonical groups
+// (members ascending, groups ordered by smallest member) it is the cost
+// every solver reports, so costs of one partition from different solvers,
+// or from a caller's own view of it, compare bit-exactly.
+func PartitionCost(w [][]float64, groups [][]int) float64 {
 	cost := 0.0
 	for _, g := range groups {
-		cost += CostOf(w, g, soloCost)
+		cost += CostOf(w, g)
 	}
 	return cost
 }
@@ -244,47 +217,7 @@ func canonicalize(groups [][]int) [][]int {
 
 // finish canonicalizes a partition and wraps it in a Result with the
 // canonical cost.
-func finish(w [][]float64, groups [][]int, soloCost float64, solver string) *Result {
+func finish(w [][]float64, groups [][]int, solver string) *Result {
 	groups = canonicalize(groups)
-	return &Result{Groups: groups, Cost: PartitionCost(w, groups, soloCost), Solver: solver}
-}
-
-// solveBlossom handles level == 2 by minimum-weight perfect matching on the
-// idle-padded graph: 2·maxGroups vertices, real-real edges cost w, a real
-// app paired with an idle slot costs soloCost, idle-idle pairs cost 0 —
-// the construction of core.Policy's Step 2, so the two agree edge for edge.
-func solveBlossom(w [][]float64, maxGroups int, soloCost float64) (*Result, error) {
-	n := len(w)
-	total := 2 * maxGroups
-	p := make([][]float64, total)
-	for i := range p {
-		p[i] = make([]float64, total)
-	}
-	for i := 0; i < total; i++ {
-		for j := i + 1; j < total; j++ {
-			var cost float64
-			switch {
-			case i < n && j < n:
-				cost = w[i][j]
-			case i < n || j < n:
-				cost = soloCost
-			}
-			p[i][j], p[j][i] = cost, cost
-		}
-	}
-	mate, _, err := matching.MinWeightPerfectMatching(p)
-	if err != nil {
-		return nil, err
-	}
-	var groups [][]int
-	for i := 0; i < n; i++ {
-		m := mate[i]
-		switch {
-		case m < 0 || m >= n:
-			groups = append(groups, []int{i})
-		case m > i:
-			groups = append(groups, []int{i, m})
-		}
-	}
-	return finish(w, groups, soloCost, "blossom"), nil
+	return &Result{Groups: groups, Cost: PartitionCost(w, groups), Solver: solver}
 }

@@ -62,7 +62,7 @@ func checkPartition(t *testing.T, res *Result, n, maxGroups, level int, w [][]fl
 			t.Fatalf("app %d unassigned: %v", a, res.Groups)
 		}
 	}
-	if want := PartitionCost(w, res.Groups, DefaultSoloCost); res.Cost != want {
+	if want := PartitionCost(w, res.Groups); res.Cost != want {
 		t.Fatalf("reported cost %v != canonical cost %v", res.Cost, want)
 	}
 }
@@ -101,8 +101,8 @@ func TestPartitionLevelOne(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkPartition(t, res, 5, 5, 1, w)
-	if res.Cost != 5*DefaultSoloCost {
-		t.Fatalf("cost %v, want %v", res.Cost, 5*DefaultSoloCost)
+	if res.Cost != 5*SoloCost {
+		t.Fatalf("cost %v, want %v", res.Cost, 5*SoloCost)
 	}
 }
 
@@ -142,9 +142,49 @@ func TestGreedyVsExact(t *testing.T) {
 	}
 }
 
+// paddedMatchingCost is the test-local L = 2 oracle: the cost of a
+// minimum-weight perfect matching on the idle-padded graph of 2·maxGroups
+// vertices (real-real edges cost w, a real app with an idle slot costs
+// SoloCost, two idle slots cost nothing) — the graph the SYNPA policy
+// matches at SMT2.
+func paddedMatchingCost(t *testing.T, w [][]float64, maxGroups int) float64 {
+	t.Helper()
+	n, total := len(w), 2*maxGroups
+	p := make([][]float64, total)
+	for i := range p {
+		p[i] = make([]float64, total)
+	}
+	for i := 0; i < total; i++ {
+		for j := i + 1; j < total; j++ {
+			var cost float64
+			switch {
+			case j < n:
+				cost = w[i][j]
+			case i < n:
+				cost = SoloCost
+			}
+			p[i][j], p[j][i] = cost, cost
+		}
+	}
+	mate, _, err := matching.MinWeightPerfectMatching(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var groups [][]int
+	for i := 0; i < n; i++ {
+		switch m := mate[i]; {
+		case m >= n:
+			groups = append(groups, []int{i})
+		case m > i:
+			groups = append(groups, []int{i, m})
+		}
+	}
+	return PartitionCost(w, groups)
+}
+
 // TestExactMatchesBlossomAtLevelTwo cross-validates the exact subset DP
-// against the blossom matcher on the L = 2 objective: identical optima
-// (within the blossom's 1e-6 weight quantisation).
+// against blossom matching on the idle-padded graph, the L = 2 objective:
+// identical optima (within the blossom's 1e-6 weight quantisation).
 func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 	const tol = 1e-4
 	for n := 2; n <= 12; n++ {
@@ -158,66 +198,12 @@ func TestExactMatchesBlossomAtLevelTwo(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			blossom, err := Partition(w, maxGroups, 2, Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if blossom.Solver != "blossom" {
-				t.Fatalf("L=2 auto solver = %q, want blossom delegation", blossom.Solver)
-			}
 			checkPartition(t, exact, n, maxGroups, 2, w)
-			checkPartition(t, blossom, n, maxGroups, 2, w)
-			if math.Abs(exact.Cost-blossom.Cost) > tol {
-				t.Fatalf("n=%d seed=%d: exact %v != blossom %v (groups %v vs %v)",
-					n, seed, exact.Cost, blossom.Cost, exact.Groups, blossom.Groups)
+			if blossom := paddedMatchingCost(t, w, maxGroups); math.Abs(exact.Cost-blossom) > tol {
+				t.Fatalf("n=%d seed=%d: exact %v != blossom %v (groups %v)",
+					n, seed, exact.Cost, blossom, exact.Groups)
 			}
 		}
-	}
-}
-
-// TestBlossomDelegationMatchesRawMatcher pins the delegation construction:
-// the groups Partition returns at L = 2 are exactly the pairs of a
-// minimum-weight perfect matching on the idle-padded graph the SYNPA policy
-// builds.
-func TestBlossomDelegationMatchesRawMatcher(t *testing.T) {
-	n, cores := 7, 4
-	w := randMatrix(n, 5, 3)
-	res, err := Partition(w, cores, 2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	total := 2 * cores
-	p := make([][]float64, total)
-	for i := range p {
-		p[i] = make([]float64, total)
-	}
-	for i := 0; i < total; i++ {
-		for j := i + 1; j < total; j++ {
-			var cost float64
-			switch {
-			case i < n && j < n:
-				cost = w[i][j]
-			case i < n || j < n:
-				cost = DefaultSoloCost
-			}
-			p[i][j], p[j][i] = cost, cost
-		}
-	}
-	mate, _, err := matching.MinWeightPerfectMatching(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want [][]int
-	for i := 0; i < n; i++ {
-		switch m := mate[i]; {
-		case m < 0 || m >= n:
-			want = append(want, []int{i})
-		case m > i:
-			want = append(want, []int{i, m})
-		}
-	}
-	if !reflect.DeepEqual(res.Groups, want) {
-		t.Fatalf("delegated groups %v != raw matcher pairs %v", res.Groups, want)
 	}
 }
 

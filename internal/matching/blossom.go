@@ -24,8 +24,8 @@
 // A brute-force exact matcher (subset dynamic program, O(2ⁿ·n)) is provided
 // for cross-validation in tests and for the matcher-overhead ablation bench.
 // Above SMT2, where co-schedules grow beyond pairs, the matching step
-// generalises to the weighted set-partition problem of internal/grouping,
-// which delegates back to this package at level 2.
+// generalises to the weighted set-partition problem of internal/grouping;
+// the SYNPA policy calls this package directly at SMT2.
 package matching
 
 import (

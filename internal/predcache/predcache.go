@@ -209,22 +209,24 @@ func (h *Handle[V]) Get(a, b []float64, fn func(a, b []float64) V) V {
 	return v
 }
 
-// GetMatrix returns fn(w) for a symmetric matrix w, memoized under the
-// vertex count and the bits of the strict upper triangle (a matcher reads
+// GetMatrix returns fn() for a symmetric matrix w, memoized under tag, the
+// vertex count and the bits of w's strict upper triangle (a solver reads
 // nothing else: the diagonal is ignored and the lower triangle mirrors the
-// upper). Errors pass through unstored.
-func (h *Handle[V]) GetMatrix(w [][]float64, fn func(w [][]float64) (V, error)) (V, error) {
+// upper). tag carries whatever else fn depends on, such as the machine
+// shape. Errors pass through unstored.
+func (h *Handle[V]) GetMatrix(tag uint64, w [][]float64, fn func() (V, error)) (V, error) {
 	if h.m.shards == nil {
-		return fn(w)
+		return fn()
 	}
-	h.key = append(h.key[:0], byte(len(w)))
+	h.key = binary.LittleEndian.AppendUint64(h.key[:0], tag)
+	h.key = binary.LittleEndian.AppendUint64(h.key, uint64(len(w)))
 	for i := range w {
 		h.key = appendBits(h.key, w[i][i+1:])
 	}
 	sh, v, ok := h.lookup()
 	if !ok {
 		var err error
-		if v, err = fn(w); err != nil {
+		if v, err = fn(); err != nil {
 			return v, err
 		}
 		h.store(sh, v)

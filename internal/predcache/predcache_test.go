@@ -119,40 +119,50 @@ func TestKeySeparatesSplits(t *testing.T) {
 
 // TestMatchMemoKeysUpperTriangle checks the matrix key: it reads only the
 // strict upper triangle, so the diagonal and the lower triangle never
-// split entries, while a one-ulp change above the diagonal does. Errors
-// pass through and are never stored.
+// split entries, while a one-ulp change above the diagonal, the vertex
+// count or the tag does. Errors pass through and are never stored.
 func TestMatchMemoKeysUpperTriangle(t *testing.T) {
 	c := NewMemo[[]int](Options{}, 1).Handle()
 	calls := 0
-	fn := func(w [][]float64) ([]int, error) { calls++; return []int{1, 0}, nil }
+	fn := func() ([]int, error) { calls++; return []int{1, 0}, nil }
 	w := [][]float64{{0, 0.5}, {0.5, 0}}
-	m1, _ := c.GetMatrix(w, fn)
+	m1, _ := c.GetMatrix(1, w, fn)
 	w[0][0], w[1][0] = 9, 9 // outside the key
-	m2, _ := c.GetMatrix(w, fn)
+	m2, _ := c.GetMatrix(1, w, fn)
 	if calls != 1 || !reflect.DeepEqual(m1, m2) {
 		t.Fatalf("diagonal/lower-triangle change missed the memo (calls=%d)", calls)
 	}
 	w[0][1] = math.Nextafter(w[0][1], 1)
-	c.GetMatrix(w, fn)
+	c.GetMatrix(1, w, fn)
 	if calls != 2 {
 		t.Fatal("upper-triangle change hit the memo")
 	}
 	// A 3-vertex matrix whose upper triangle has the same two leading
-	// values must not collide with the 2-vertex key.
-	c.GetMatrix([][]float64{{0, 0.5, 0}, {0.5, 0, 0}, {0, 0, 0}}, fn)
+	// values must not collide with the 2-vertex key, nor the empty matrix
+	// with the one-vertex one.
+	c.GetMatrix(1, [][]float64{{0, 0.5, 0}, {0.5, 0, 0}, {0, 0, 0}}, fn)
 	if calls != 3 {
 		t.Fatal("vertex count did not separate keys")
 	}
+	c.GetMatrix(1, nil, fn)
+	c.GetMatrix(1, [][]float64{{0}}, fn)
+	if calls != 5 {
+		t.Fatal("empty and one-vertex matrices collided")
+	}
+	c.GetMatrix(2, w, fn)
+	if calls != 6 {
+		t.Fatal("tag did not separate keys")
+	}
 
 	boom := errors.New("boom")
-	failing := func(w [][]float64) ([]int, error) { calls++; return nil, boom }
+	failing := func() ([]int, error) { calls++; return nil, boom }
 	w2 := [][]float64{{0, 7}, {7, 0}}
 	for i := 0; i < 2; i++ {
-		if _, err := c.GetMatrix(w2, failing); err != boom {
+		if _, err := c.GetMatrix(1, w2, failing); err != boom {
 			t.Fatalf("error not passed through: %v", err)
 		}
 	}
-	if calls != 5 || c.Entries() != 3 {
+	if calls != 8 || c.Entries() != 6 {
 		t.Fatalf("failed evaluation was stored (calls=%d entries=%d)", calls, c.Entries())
 	}
 }

@@ -36,7 +36,7 @@ import (
 	"synpa/internal/smtcore"
 )
 
-// MaxCores bounds a query's num_cores: the pairwise path solves a matching
+// MaxCores bounds a query's num_cores: at SMT2 the policy solves a matching
 // over 2 x num_cores vertices, so an unbounded machine size would let one
 // request demand an arbitrarily large weight matrix.
 const MaxCores = 256
@@ -218,50 +218,29 @@ func PlaceOne(p *core.Policy, a *core.Arena, q *PlaceRequest) (*PlaceResponse, e
 	place := p.PlaceR(a, st)
 	return &PlaceResponse{
 		Placement:    place,
-		Degradations: degradations(p.Model(), a.LastSTEstimates(), place, st),
+		Degradations: degradations(p.Model(), a, place, st),
 		Policy:       p.Name(),
 	}, nil
 }
 
 // degradations predicts each application's slowdown under the decided
 // placement from the arena's fresh ST estimates: 1.0 for a solo app, the
-// forward model against the co-runner (mean co-runner vector above SMT2 —
-// the grouped path's own idiom) otherwise. Returns nil for cold decisions
-// (no model-driven estimates).
-func degradations(m *core.Model, est [][]float64, place machine.Placement, st *machine.QuantumState) []float64 {
-	n := st.NumApps
+// forward model against the mean of its co-runners' estimates otherwise
+// (the policy's own Step 1 aggregate, through the same core helpers).
+// Returns nil for cold decisions (no model-driven estimates).
+func degradations(m *core.Model, a *core.Arena, place machine.Placement, st *machine.QuantumState) []float64 {
+	est, n := a.LastSTEstimates(), st.NumApps
 	if est == nil || len(est) < n {
 		return nil
 	}
-	groups := place.PairsOf(st.NumCores)
 	out := make([]float64, n)
 	mean := make([]float64, m.K())
-	for c := range groups {
-		for _, i := range groups[c] {
-			if i >= n {
-				continue
+	for _, g := range a.Groups(place, n, st.NumCores) {
+		for _, i := range g {
+			out[i] = 1 // solo: runs at ST speed by definition
+			if core.CoRunnerMean(mean, est, g, i) > 0 {
+				out[i] = m.PredictSlowdown(est[i], mean)
 			}
-			co := 0
-			for k := range mean {
-				mean[k] = 0
-			}
-			for _, j := range groups[c] {
-				if j == i || j >= n {
-					continue
-				}
-				for k, v := range est[j] {
-					mean[k] += v
-				}
-				co++
-			}
-			if co == 0 {
-				out[i] = 1 // solo: runs at ST speed by definition
-				continue
-			}
-			for k := range mean {
-				mean[k] /= float64(co)
-			}
-			out[i] = m.PredictSlowdown(est[i], mean)
 		}
 	}
 	return out
